@@ -11,44 +11,16 @@
 //! To bless intentional changes, rerun with `ISAX_BLESS=1` and commit
 //! the regenerated snapshots together with the code change.
 
+mod common;
+
+use common::check_golden;
 use isax::Customizer;
 use isax_bench::{analyze_subset, figures};
-use std::path::PathBuf;
 
 /// The small-kernel cast: cheap enough for debug-mode CI while still
 /// covering three domains' worth of distinct DFG shapes.
 const KERNELS: [&str; 3] = ["crc", "rawcaudio", "rawdaudio"];
 const BUDGETS: [f64; 3] = [2.0, 6.0, 10.0];
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Byte-for-byte comparison against `tests/golden/<name>`, or a
-/// regeneration pass when `ISAX_BLESS=1`.
-fn check_golden(name: &str, rendered: &str) {
-    let path = golden_path(name);
-    if std::env::var("ISAX_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nrun with ISAX_BLESS=1 to generate the snapshot",
-            path.display()
-        )
-    });
-    assert!(
-        expected == rendered,
-        "{name} drifted from its golden snapshot.\n\
-         If the change is intentional, rerun with ISAX_BLESS=1 and commit \
-         the new snapshot.\n--- golden ---\n{expected}\n--- rendered ---\n{rendered}",
-    );
-}
 
 /// The per-domain speedup panel over a cheap cross-domain cast: one
 /// paper kernel, two curated kernels per new domain, and one freshly
