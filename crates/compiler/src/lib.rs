@@ -35,15 +35,15 @@ pub use compile::{
 };
 pub use ifconvert::{if_convert_function, if_convert_program, IfConvertConfig, IfConvertStats};
 pub use matching::{
-    find_matches, find_matches_guarded_with_stats, find_matches_with_stats, prefilter_admits,
-    MatchMode, MatchOptions, MatchStats, PatternMatch,
+    find_matches, find_matches_guarded_with_stats, prefilter_admits, MatchMode, MatchOptions,
+    MatchStats, PatternMatch,
 };
 pub use mdes::{CfuSpec, Mdes};
 pub use prioritize::prioritize;
 pub use regalloc::{allocate_registers, RegAlloc, PHYS_REGS};
 pub use replace::{apply_matches, AppliedMatch, CustomizedFunction};
 pub use schedule::{
-    function_cycles, function_cycles_metered, inst_latency, schedule_block, schedule_block_metered,
+    function_cycles_metered, inst_latency, schedule_block, schedule_block_metered,
     sequential_function_cycles, sequential_schedule_block, BlockSchedule, CustomInfo, CustomOpInfo,
     VliwModel,
 };

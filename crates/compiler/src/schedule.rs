@@ -13,7 +13,7 @@
 //! critical-path (height) priority, honouring data edges (producer
 //! latency), memory ordering edges, and zero-latency anti/output edges.
 
-use isax_guard::Meter;
+use isax_guard::{Meter, Stage};
 use isax_hwlib::HwLibrary;
 use isax_ir::{Dfg, FuKind, Opcode, Terminator};
 use std::collections::BTreeMap;
@@ -134,8 +134,9 @@ pub fn schedule_block(
     custom: &CustomInfo,
     model: &VliwModel,
 ) -> BlockSchedule {
-    schedule_block_impl(dfg, term, hw, custom, model, None)
-        .expect("unmetered scheduling cannot exhaust")
+    let mut meter = Meter::unlimited(Stage::Schedule, 0);
+    schedule_block_metered(dfg, term, hw, custom, model, &mut meter)
+        .expect("an unlimited meter never stops")
 }
 
 /// [`schedule_block`] under a work-unit [`Meter`]: one unit per cycle the
@@ -150,17 +151,6 @@ pub fn schedule_block_metered(
     custom: &CustomInfo,
     model: &VliwModel,
     meter: &mut Meter,
-) -> Option<BlockSchedule> {
-    schedule_block_impl(dfg, term, hw, custom, model, Some(meter))
-}
-
-fn schedule_block_impl(
-    dfg: &Dfg,
-    term: &Terminator,
-    hw: &HwLibrary,
-    custom: &CustomInfo,
-    model: &VliwModel,
-    mut meter: Option<&mut Meter>,
 ) -> Option<BlockSchedule> {
     let n = dfg.len();
     let lat: Vec<u32> = (0..n)
@@ -190,10 +180,8 @@ fn schedule_block_impl(
     let mut mem_reserved_until = 0u32;
     while scheduled < n {
         // One work unit per cycle the scheduler considers.
-        if let Some(m) = meter.as_deref_mut() {
-            if !m.charge(1) {
-                return None;
-            }
+        if !meter.charge(1) {
+            return None;
         }
         // Capacity per FU kind this cycle.
         let mut free: BTreeMap<FuKind, u32> = BTreeMap::new();
@@ -225,10 +213,8 @@ fn schedule_block_impl(
                 let slots = free.get_mut(&fu).expect("all kinds present");
                 if *slots > 0 {
                     // One work unit per instruction issued.
-                    if let Some(m) = meter.as_deref_mut() {
-                        if !m.charge(1) {
-                            return None;
-                        }
+                    if !meter.charge(1) {
+                        return None;
                     }
                     *slots -= 1;
                     issue[v] = cycle;
@@ -345,29 +331,9 @@ fn ready_at(dfg: &Dfg, v: usize, issue: &[u32], lat: &[u32]) -> u32 {
     t
 }
 
-/// Estimated cycle count of a whole function: Σ blocks (schedule length ×
-/// profile weight). This is the paper's performance metric; speedup is the
-/// ratio of two estimates.
-pub fn function_cycles(
-    f: &isax_ir::Function,
-    hw: &HwLibrary,
-    custom: &CustomInfo,
-    model: &VliwModel,
-) -> (u64, Vec<u32>) {
-    let dfgs = isax_ir::function_dfgs(f);
-    let mut total = 0u64;
-    let mut per_block = Vec::with_capacity(dfgs.len());
-    for (bi, dfg) in dfgs.iter().enumerate() {
-        let s = schedule_block(dfg, &f.blocks[bi].term, hw, custom, model);
-        per_block.push(s.cycles);
-        total += s.cycles as u64 * f.blocks[bi].weight;
-    }
-    (total, per_block)
-}
-
-/// [`function_cycles`] computed entirely with [`sequential_schedule_block`]:
-/// the deterministic degradation fallback used when the list scheduler's
-/// work budget runs out mid-function.
+/// [`function_cycles_metered`] computed entirely with
+/// [`sequential_schedule_block`]: the deterministic degradation fallback
+/// used when the list scheduler's work budget runs out mid-function.
 pub fn sequential_function_cycles(
     f: &isax_ir::Function,
     hw: &HwLibrary,
@@ -384,7 +350,9 @@ pub fn sequential_function_cycles(
     (total, per_block)
 }
 
-/// [`function_cycles`] under a work-unit [`Meter`].
+/// Estimated cycle count of a whole function under a work-unit
+/// [`Meter`]: Σ blocks (schedule length × profile weight). This is the
+/// paper's performance metric; speedup is the ratio of two estimates.
 ///
 /// Degradation is at **function granularity**: if any block exhausts the
 /// meter, the whole function is recomputed with
@@ -653,7 +621,10 @@ mod tests {
         fb.switch_to(exit);
         fb.ret(&[z.into()]);
         let f = fb.finish();
-        let (total, per_block) = function_cycles(&f, &hw(), &none(), &VliwModel::default());
+        let mut meter = Meter::unlimited(Stage::Schedule, 0);
+        let (total, per_block, degraded) =
+            function_cycles_metered(&f, &hw(), &none(), &VliwModel::default(), &mut meter);
+        assert!(!degraded);
         assert_eq!(per_block.len(), 3);
         assert_eq!(
             total,
@@ -663,7 +634,6 @@ mod tests {
 
     #[test]
     fn metered_schedule_matches_unmetered_when_budget_suffices() {
-        use isax_guard::{Meter, Stage};
         let mut fb = FunctionBuilder::new("f", 2);
         let (a, b) = (fb.param(0), fb.param(1));
         let x = fb.add(a, b);
@@ -696,7 +666,6 @@ mod tests {
 
     #[test]
     fn metered_schedule_exhausts_and_sequential_fallback_is_legal() {
-        use isax_guard::{Meter, Stage};
         let mut fb = FunctionBuilder::new("f", 2);
         let (p, b) = (fb.param(0), fb.param(1));
         let v = fb.ldw(p);
@@ -740,7 +709,6 @@ mod tests {
 
     #[test]
     fn function_cycles_metered_degrades_to_sequential_whole_function() {
-        use isax_guard::{Meter, Stage};
         let mut fb = FunctionBuilder::new("f", 2);
         let (a, b) = (fb.param(0), fb.param(1));
         let exit = fb.new_block(1);
@@ -761,8 +729,10 @@ mod tests {
         let mut wide = Meter::with_limit(Stage::Schedule, 0, 10_000);
         let (t2, pb2, d2) =
             function_cycles_metered(&f, &hw(), &none(), &VliwModel::default(), &mut wide);
-        let (t0, pb0) = function_cycles(&f, &hw(), &none(), &VliwModel::default());
-        assert!(!d2);
+        let mut unlimited = Meter::unlimited(Stage::Schedule, 0);
+        let (t0, pb0, d0) =
+            function_cycles_metered(&f, &hw(), &none(), &VliwModel::default(), &mut unlimited);
+        assert!(!d2 && !d0);
         assert_eq!((t2, pb2), (t0, pb0));
     }
 

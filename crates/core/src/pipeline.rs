@@ -28,15 +28,15 @@ use isax_compiler::{
     VliwModel,
 };
 use isax_explore::{explore_app_guarded, Candidate, ExploreConfig, ExploreStats};
+use isax_graph::par;
 use isax_guard::{Degradation, Guard, Stage};
 use isax_hwlib::HwLibrary;
 use isax_ir::dataflow::SolveStats;
 use isax_ir::{function_dfgs, Dfg, Program};
 use isax_select::{
-    combine, find_wildcard_partners, mark_subsumptions, select_greedy, select_greedy_metered,
-    select_knapsack, select_multifunction, CfuCandidate, SelectConfig, Selection,
+    combine, find_wildcard_partners, mark_subsumptions, select_greedy_metered, select_knapsack,
+    select_multifunction, CfuCandidate, SelectConfig, Selection,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// The immutable half of the pipeline configuration: everything that is
@@ -99,8 +99,9 @@ pub struct Customizer {
     /// Resource governance: deterministic work-unit budgets, optional
     /// wall-clock deadline, panic containment and fault injection.
     /// Defaults from the `ISAX_BUDGET` / `ISAX_DEADLINE_MS` /
-    /// `ISAX_FAULT` environment variables; inactive (zero-cost, legacy
-    /// code paths) when none are set.
+    /// `ISAX_FAULT` environment variables. With none set the guard is
+    /// unlimited: no meter stops, but worker panics are still contained
+    /// and reported as `panicked` degradations.
     pub guard: Guard,
 }
 
@@ -396,43 +397,37 @@ impl Customizer {
     /// Selects CFUs for an area budget (greedy, the paper's default) and
     /// emits the machine description.
     ///
-    /// With an active [`Guard`] the greedy scan runs under a work-unit
-    /// meter (one unit per candidate evaluation) and inside a panic trap:
-    /// exhaustion keeps the CFUs chosen so far (a sound prefix of the
-    /// ungoverned order), a contained panic yields an empty selection.
-    /// Both are recorded in [`Selection::degradations`].
+    /// The greedy scan runs under a work-unit meter (one unit per
+    /// candidate evaluation) and inside a panic trap: exhaustion keeps the
+    /// CFUs chosen so far (a sound prefix of the unlimited order), a
+    /// contained panic yields an empty selection. Both are recorded in
+    /// [`Selection::degradations`].
     pub fn select(&self, app_name: &str, analysis: &Analysis, budget: f64) -> (Mdes, Selection) {
         let _stage = isax_trace::span("pipeline.select");
         let mut sel = {
             let _s = isax_trace::span("select.greedy");
             let cfg = SelectConfig::with_budget(budget);
-            if self.guard.is_active() {
+            // A fan-out of one item runs inline, inside the same panic
+            // trap as every other stage.
+            let trapped = par::par_try_map_indexed(1, |_| {
                 let mut meter = self.guard.meter(Stage::Select, 0);
-                let trapped = catch_unwind(AssertUnwindSafe(|| {
-                    select_greedy_metered(&analysis.cfus, &cfg, &mut meter)
-                }));
-                match trapped {
-                    Ok(mut sel) => {
-                        if let Some(d) = meter.degradation(format!(
-                            "kept {} CFUs chosen before the greedy scan stopped",
-                            sel.chosen.len()
-                        )) {
-                            sel.degradations.push(d);
-                        }
-                        sel
-                    }
-                    Err(payload) => {
-                        let mut sel = Selection::default();
-                        sel.degradations.push(Degradation::panicked(
-                            Stage::Select,
-                            0,
-                            isax_guard::panic_message(payload.as_ref()),
-                        ));
-                        sel
-                    }
+                let mut sel = select_greedy_metered(&analysis.cfus, &cfg, &mut meter);
+                if meter.exhausted() {
+                    sel.degradations.extend(meter.degradation(format!(
+                        "kept {} CFUs chosen before the greedy scan stopped",
+                        sel.chosen.len()
+                    )));
                 }
-            } else {
-                select_greedy(&analysis.cfus, &cfg)
+                sel
+            });
+            match trapped.into_iter().next().expect("one item in, one out") {
+                Ok(sel) => sel,
+                Err(e) => {
+                    let mut sel = Selection::default();
+                    sel.degradations
+                        .push(Degradation::panicked(Stage::Select, 0, e.message));
+                    sel
+                }
             }
         };
         if self.guard.is_active() {

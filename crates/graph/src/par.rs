@@ -89,60 +89,21 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
 /// The work-stealing is a single shared atomic counter: each worker
 /// claims the next unprocessed index, computes, and stores the result
 /// tagged with its index. Slot `i` of the returned vector always holds
-/// `f(i)`.
+/// `f(i)`. This is [`par_try_map_indexed`] with the first panic
+/// re-raised on the calling thread once the fan-out has joined.
 pub fn par_map_indexed<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    let threads = thread_count().min(n.max(1));
-    if threads <= 1 || n <= 1 || IN_PAR_WORKER.with(Cell::get) {
-        return (0..n).map(f).collect();
+    let results = par_try_map_indexed(n, f);
+    // Cancellations only ever follow a panic, so a failed fan-out always
+    // holds a non-cancelled error to re-raise.
+    if let Some(e) = results
+        .iter()
+        .find_map(|r| r.as_ref().err().filter(|e| !e.cancelled))
+    {
+        std::panic::resume_unwind(Box::new(e.message.clone()));
     }
-    let next = AtomicUsize::new(0);
-    isax_trace::counter("par.fanouts", 1);
-    isax_trace::counter("par.items", n as u64);
-    isax_trace::counter("par.workers_spawned", threads as u64);
-    let f = &f;
-    let next = &next;
-    // Workers inherit the spawning thread's request tag so per-request
-    // attribution survives the fan-out.
-    let req = isax_trace::current_request();
-    let buckets: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                scope.spawn(move || {
-                    IN_PAR_WORKER.with(|flag| flag.set(true));
-                    // Tag this worker's trace events with its own track
-                    // so each lane renders separately in the Chrome
-                    // export (track 0 stays the calling thread).
-                    isax_trace::set_track(worker as u32 + 1);
-                    isax_trace::set_request(req);
-                    let _span = isax_trace::span("par.worker");
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (i, v) in buckets.into_iter().flatten() {
-        slots[i] = Some(v);
-    }
-    slots
+    results
         .into_iter()
-        .map(|s| s.expect("every index was claimed by exactly one worker"))
+        .map(|r| r.expect("no item panicked, so none was cancelled"))
         .collect()
 }
 
@@ -187,16 +148,8 @@ fn cancelled_error(index: usize) -> ParError {
     }
 }
 
-/// Fallible variant of [`par_map`]: see [`par_try_map_indexed`].
-pub fn par_try_map<T: Sync, U: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> U + Sync,
-) -> Vec<Result<U, ParError>> {
-    par_try_map_indexed(items.len(), |i| f(&items[i]))
-}
-
-/// Panic-isolating variant of [`par_map_indexed`], used by governed
-/// pipeline stages.
+/// Panic-isolating variant of [`par_map_indexed`], used by the pipeline
+/// stages.
 ///
 /// Each worker closure runs under [`catch_unwind`]; a panicking item
 /// becomes a per-item [`ParError`] at the join point instead of
@@ -246,12 +199,17 @@ pub fn par_try_map_indexed<U: Send>(
     let f = &f;
     let next = &next;
     let stop = &stop;
+    // Workers inherit the spawning thread's request tag so per-request
+    // attribution survives the fan-out.
     let req = isax_trace::current_request();
     let buckets: Vec<Vec<(usize, Result<U, ParError>)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
                 scope.spawn(move || {
                     IN_PAR_WORKER.with(|flag| flag.set(true));
+                    // Tag this worker's trace events with its own track
+                    // so each lane renders separately in the Chrome
+                    // export (track 0 stays the calling thread).
                     isax_trace::set_track(worker as u32 + 1);
                     isax_trace::set_request(req);
                     let _span = isax_trace::span("par.worker");
@@ -357,7 +315,7 @@ mod tests {
     #[test]
     fn try_map_matches_serial_when_nothing_panics() {
         let items: Vec<usize> = (0..200).collect();
-        let out = par_try_map(&items, |&x| x * 3);
+        let out = par_try_map_indexed(items.len(), |i| items[i] * 3);
         let vals: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(vals, (0..200).map(|x| x * 3).collect::<Vec<_>>());
     }

@@ -6,7 +6,8 @@
 //! differ only in whitespace or comments address the same entry. The
 //! config hash folds in every request knob that can change the output
 //! bytes (request kind, app name, area budget, matching flags, the MDES
-//! text for compiles, and the admitted work budget). The server's
+//! text for compiles, and the run's effective guard: work units after
+//! admission and environment, deadline and fault plan). The server's
 //! shared context is fixed for its lifetime, so it needs no key bits.
 //!
 //! Insertion is **first-insert-wins**: when two requests race to fill
@@ -17,6 +18,7 @@
 //! deliberately-different payloads and assert one canonical winner).
 
 use crate::protocol::Artifacts;
+use isax::Guard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -90,6 +92,18 @@ impl ConfigHasher {
     /// Folds in a bool.
     pub fn bool(self, label: &str, v: bool) -> ConfigHasher {
         self.u64(label, u64::from(v))
+    }
+
+    /// Folds in everything of a [`Guard`] that can change a run's
+    /// bytes: the work-unit limit, the deadline and the fault plan.
+    pub fn guard(self, guard: &Guard) -> ConfigHasher {
+        let budget = guard.budget();
+        self.u64("work_units", budget.units.unwrap_or(u64::MAX))
+            .u64(
+                "deadline_ns",
+                budget.deadline.map_or(u64::MAX, |d| d.as_nanos() as u64),
+            )
+            .field("fault", format!("{:?}", guard.fault()).as_bytes())
     }
 
     /// The finished hash.

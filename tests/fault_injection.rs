@@ -219,8 +219,8 @@ fn schedule_exhaust_reschedules_the_function_sequentially() {
 }
 
 /// The fault hook is present in every build but must be inert when no
-/// plan is configured: a guard with no fault and no budget takes the
-/// legacy code paths and reports nothing.
+/// plan is configured: a guard with no fault and no budget reports
+/// nothing.
 #[test]
 fn unconfigured_fault_hook_is_inert() {
     let program = kernel();

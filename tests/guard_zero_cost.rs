@@ -1,9 +1,9 @@
-//! Zero-cost-by-default: an inactive guard (the default — no budget, no
-//! deadline, no fault plan) must leave every pipeline artifact
-//! byte-identical to the pre-governance code paths, with no degradation
-//! records. Governed entry points dispatch on `Guard::is_active()`
-//! straight to the historical implementations, and this suite pins that
-//! contract on real benchmark kernels.
+//! Zero-cost-by-default: the default guard (no budget, no deadline, no
+//! fault plan) is unlimited, so every pipeline artifact must equal the
+//! one a governed run with an ample budget produces, with no
+//! degradation records. Each stage has one metered implementation;
+//! this suite pins that an unlimited meter never changes its output on
+//! real benchmark kernels.
 
 use isax::{Customizer, Guard, MatchOptions};
 use isax_workloads::by_name;
@@ -62,8 +62,8 @@ fn unlimited_guard_is_byte_identical_to_default() {
 
 /// An *active* guard whose budget is far larger than the actual work
 /// must also change nothing except being observable: same artifacts,
-/// zero degradations. This pins the metered code paths against the
-/// legacy ones.
+/// zero degradations. This pins the limit checks against the
+/// unlimited meter.
 #[test]
 fn huge_budget_matches_ungoverned_artifacts() {
     let name = "crc";

@@ -440,6 +440,51 @@ fn budget_exhausted_requests_degrade_like_the_cli() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The cache keys on the guard a request actually runs under, which
+/// includes the server's `ISAX_BUDGET` / `ISAX_DEADLINE_MS` environment,
+/// and never replays a deadline-shaped result. Every test in this
+/// binary holds `TEST_LOCK`, so the environment edits here are seen by
+/// this test's server only.
+#[test]
+fn env_governed_results_are_keyed_by_their_guard_and_deadlines_never_cached() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let w = isax_workloads::by_name("crc").unwrap();
+    let text = program_text(&w.program);
+    let server = Server::spawn(ServeConfig {
+        workers: 1,
+        stats: EnvMode::Off,
+        ..ServeConfig::default()
+    })
+    .expect("server spawns");
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    std::env::set_var("ISAX_BUDGET", "50");
+    let governed = client.artifacts(customize_request("crc", &text, None));
+    std::env::remove_var("ISAX_BUDGET");
+    let (_, governed) = governed.expect("env-governed customize succeeds");
+    assert!(!governed.degraded.is_empty(), "50 units cannot finish");
+    let (cached, full) = client
+        .artifacts(customize_request("crc", &text, None))
+        .expect("ungoverned customize succeeds");
+    assert!(!cached, "an ungoverned run must not hit the budgeted entry");
+    assert!(full.degraded.is_empty(), "{:?}", full.degraded);
+
+    std::env::set_var("ISAX_DEADLINE_MS", "0");
+    let first = client.artifacts(customize_request("crc", &text, Some(1 << 40)));
+    let second = client.artifacts(customize_request("crc", &text, Some(1 << 40)));
+    std::env::remove_var("ISAX_DEADLINE_MS");
+    for (i, r) in [first, second].into_iter().enumerate() {
+        let (cached, art) = r.expect("deadline-governed customize succeeds");
+        assert!(!cached, "request {i}: a deadline result was replayed");
+        assert!(
+            art.degraded.iter().any(|d| d.contains("deadline-expired")),
+            "request {i}: {:?}",
+            art.degraded
+        );
+    }
+    server.shutdown();
+}
+
 /// A zero-capacity queue rejects work with `busy` (backpressure is an
 /// explicit structured error, not a hang), while control requests keep
 /// flowing; and `ISAX_SERVE_STATS=PATH` semantics write the final stats
