@@ -62,7 +62,9 @@ pub use isax_check::{
 };
 pub use isax_compiler::{MatchMode, MatchOptions, Mdes, VliwModel};
 pub use isax_explore::ExploreConfig;
-pub use isax_guard::{Budget, Degradation, DegradationKind, FaultKind, FaultPlan, Guard, Stage};
+pub use isax_guard::{
+    reraise_contained, Budget, Degradation, DegradationKind, FaultKind, FaultPlan, Guard, Stage,
+};
 pub use isax_hwlib::HwLibrary;
 pub use isax_machine::SpeedupReport;
 pub use isax_prov::{build_report, Fate, ProvEvent, ProvLog, Summary};

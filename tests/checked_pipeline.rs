@@ -21,8 +21,18 @@ fn run_checked(w: &Workload, seeds: &[u64]) {
     let mut cz = Customizer::new();
     cz.check = true;
     let analysis = cz.analyze(&w.program);
-    let (mdes, _) = cz.select(w.name, &analysis, 15.0);
+    let (mdes, sel) = cz.select(w.name, &analysis, 15.0);
     let ev = cz.evaluate(&w.program, &mdes, MatchOptions::exact());
+    // Checkpoints accept a fallback result; an internal panic behind it
+    // must still fail.
+    isax::reraise_contained(
+        &[
+            &analysis.degradations[..],
+            &sel.degradations,
+            &ev.compiled.degradations,
+        ]
+        .concat(),
+    );
     assert!(
         ev.custom_cycles <= ev.baseline_cycles,
         "{}: customization made the estimate worse",

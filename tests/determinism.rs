@@ -33,8 +33,18 @@ fn run_pipeline(name: &str, budget: f64) -> PipelineOutput {
     let w = isax_workloads::by_name(name).unwrap();
     let cz = Customizer::new();
     let analysis = cz.analyze(&w.program);
-    let (mdes, _) = cz.select(w.name, &analysis, budget);
+    let (mdes, sel) = cz.select(w.name, &analysis, budget);
     let ev = cz.evaluate(&w.program, &mdes, MatchOptions::with_subsumed());
+    // A contained worker panic would make both sides agree on a
+    // fallback; it must fail the comparison instead.
+    isax::reraise_contained(
+        &[
+            &analysis.degradations[..],
+            &sel.degradations,
+            &ev.compiled.degradations,
+        ]
+        .concat(),
+    );
     PipelineOutput {
         raw_candidates: analysis.raw_candidates,
         cfus: analysis.cfus,

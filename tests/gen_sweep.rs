@@ -60,8 +60,18 @@ fn differential_pipeline(p: &Program, entry: &str, seed: u64, label: &str) {
     let mut cz = Customizer::new();
     cz.check = true;
     let analysis = cz.analyze(p);
-    let (mdes, _) = cz.select(entry, &analysis, BUDGET);
+    let (mdes, sel) = cz.select(entry, &analysis, BUDGET);
     let ev = cz.evaluate(p, &mdes, MatchOptions::with_subsumed());
+    // An internal panic, contained as a degradation, still fails the
+    // sweep.
+    isax::reraise_contained(
+        &[
+            &analysis.degradations[..],
+            &sel.degradations,
+            &ev.compiled.degradations,
+        ]
+        .concat(),
+    );
 
     // Cycle accounting: customization must never cost cycles, and the
     // reported speedup must be exactly the ratio of the two estimates.

@@ -143,12 +143,18 @@ proptest! {
         let p = build_program(&insts);
         prop_assert!(isax_ir::verify_program(&p).is_ok());
         let cz = Customizer::new();
-        let (mdes, _) = cz.customize("fuzz", &p, budget);
+        let analysis = cz.analyze(&p);
+        let (mdes, sel) = cz.select("fuzz", &analysis, budget);
         let matching = MatchOptions {
             mode: if wildcard { isax::MatchMode::Wildcard } else { isax::MatchMode::Exact },
             allow_subsumed: subsumed,
         };
         let ev = cz.evaluate(&p, &mdes, matching);
+        // The stages contain worker panics; an internal bug must still
+        // fail the fuzzer rather than hide behind a fallback result.
+        isax::reraise_contained(
+            &[&analysis.degradations[..], &sel.degradations, &ev.compiled.degradations].concat(),
+        );
         prop_assert!(isax_ir::verify_program(&ev.compiled.program).is_ok());
         prop_assert!(ev.custom_cycles <= ev.baseline_cycles,
             "custom instructions never slow the estimate");
@@ -171,8 +177,9 @@ proptest! {
         let a2 = cz.analyze(&p);
         prop_assert_eq!(a1.stats.examined, a2.stats.examined);
         prop_assert_eq!(a1.cfus.len(), a2.cfus.len());
-        let (m1, _) = cz.select("fuzz", &a1, 10.0);
+        let (m1, s1) = cz.select("fuzz", &a1, 10.0);
         let (m2, _) = cz.select("fuzz", &a2, 10.0);
+        isax::reraise_contained(&[&a1.degradations[..], &s1.degradations].concat());
         prop_assert_eq!(m1.to_json().unwrap(), m2.to_json().unwrap());
     }
 }
