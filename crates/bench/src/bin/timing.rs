@@ -370,7 +370,7 @@ fn main() {
     // The guard section appears when governance is configured (env) or
     // actually fired; the stress corpus's work-unit budget means it is
     // present on every extended-corpus run.
-    let guard_active = isax::Guard::from_env().is_active();
+    let guard_active = isax::Customizer::new().guard.is_active();
     if guard_active || !counters.degradations.is_empty() {
         if let isax_json::Value::Object(fields) = &mut doc {
             fields.push((

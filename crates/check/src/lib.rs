@@ -57,15 +57,6 @@ pub use lint::{check_value_facts, lint_function, lint_program};
 pub use program::check_program;
 pub use prov::check_provenance;
 
-/// True when the `ISAX_CHECK` environment variable requests checking
-/// (`1`, `true`, `on`, or `yes`, case-insensitive).
-pub fn env_enabled() -> bool {
-    match std::env::var("ISAX_CHECK") {
-        Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"),
-        Err(_) => false,
-    }
-}
-
 /// Aborts with the rendered report if `report` contains any
 /// error-severity diagnostic.
 ///

@@ -19,31 +19,72 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use isax::{Customizer, MatchMode, MatchOptions, Mdes};
+use isax::{Customizer, MatchMode, MatchOptions, Mdes, RunConfig, SharedContext};
 use isax_ir::{parse_program, Program};
 use isax_machine::Memory;
+use isax_prov::EnvMode;
+use std::sync::Arc;
+
+/// The flags `explore`, `customize` and `compile` share. Each flag that
+/// is given overrides the environment's value of the same
+/// [`RunConfig`] field: flag > environment > default.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PipelineFlags {
+    /// `--check`: run the stage-checkpoint invariant checker.
+    pub check: bool,
+    /// `--trace-out PATH`: write a Chrome trace_event JSON file of the run.
+    pub trace_out: Option<String>,
+    /// `--work-budget N`: deterministic work units per governed (stage, item).
+    pub work_budget: Option<u64>,
+    /// `--prov-out PATH`: write a decision-provenance JSON report of the run.
+    pub prov_out: Option<String>,
+    /// `--beam-width N`: explorer beam width (`0` = exhaustive).
+    pub beam_width: Option<usize>,
+    /// `--width-aware`: price primitives at their analyzed effective
+    /// operand widths.
+    pub width_aware: bool,
+}
+
+impl PipelineFlags {
+    fn parse(args: &[String]) -> Result<PipelineFlags, UsageError> {
+        Ok(PipelineFlags {
+            check: has_flag(args, "--check"),
+            trace_out: flag_value(args, "--trace-out").map(str::to_string),
+            work_budget: number_flag(args, "--work-budget")?,
+            prov_out: flag_value(args, "--prov-out").map(str::to_string),
+            beam_width: number_flag(args, "--beam-width")?,
+            width_aware: has_flag(args, "--width-aware"),
+        })
+    }
+
+    /// `run` with every given flag applied over it.
+    fn apply(&self, mut run: RunConfig) -> RunConfig {
+        run.check |= self.check;
+        run.width_aware |= self.width_aware;
+        if let Some(w) = self.beam_width {
+            run.beam_width = w;
+        }
+        if self.work_budget.is_some() {
+            run.work_budget = self.work_budget;
+        }
+        if let Some(path) = &self.prov_out {
+            run.prov = EnvMode::Path(path.clone());
+        }
+        run
+    }
+}
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `explore <file> [--check] [--trace-out PATH] [--prov-out PATH]`
+    /// `explore <file> [pipeline flags]`
     Explore {
         /// IR file.
         file: String,
-        /// Run the stage-checkpoint invariant checker.
-        check: bool,
-        /// Write a Chrome trace_event JSON file of the run.
-        trace_out: Option<String>,
-        /// Deterministic work-unit budget per governed (stage, item).
-        work_budget: Option<u64>,
-        /// Write a decision-provenance JSON report of the run.
-        prov_out: Option<String>,
-        /// Beam width for the explorer's frontier (`None` = exhaustive).
-        beam_width: Option<usize>,
-        /// Price primitives at their analyzed effective operand widths.
-        width_aware: bool,
+        /// The shared pipeline flags.
+        flags: PipelineFlags,
     },
-    /// `customize <file> [--budget B] [--name N] [--out PATH] [--multifunction] [--check]`
+    /// `customize <file> [--budget B] [--name N] [--out PATH] [--multifunction] [pipeline flags]`
     Customize {
         /// IR file.
         file: String,
@@ -55,18 +96,8 @@ pub enum Command {
         out: Option<String>,
         /// Use multifunction-family selection.
         multifunction: bool,
-        /// Run the stage-checkpoint invariant checker.
-        check: bool,
-        /// Write a Chrome trace_event JSON file of the run.
-        trace_out: Option<String>,
-        /// Deterministic work-unit budget per governed (stage, item).
-        work_budget: Option<u64>,
-        /// Write a decision-provenance JSON report of the run.
-        prov_out: Option<String>,
-        /// Beam width for the explorer's frontier (`None` = exhaustive).
-        beam_width: Option<usize>,
-        /// Price primitives at their analyzed effective operand widths.
-        width_aware: bool,
+        /// The shared pipeline flags.
+        flags: PipelineFlags,
     },
     /// `lint <file>` — run the `IC08xx` dataflow lints over every
     /// function and print the findings (warnings; never an error exit).
@@ -74,7 +105,7 @@ pub enum Command {
         /// IR file.
         file: String,
     },
-    /// `compile <file> --mdes PATH [--subsumed] [--wildcard] [--emit PATH] [--check]`
+    /// `compile <file> --mdes PATH [--subsumed] [--wildcard] [--emit PATH] [pipeline flags]`
     Compile {
         /// IR file.
         file: String,
@@ -86,14 +117,8 @@ pub enum Command {
         wildcard: bool,
         /// Optional path for the customized assembly.
         emit: Option<String>,
-        /// Run the stage-checkpoint invariant checker.
-        check: bool,
-        /// Write a Chrome trace_event JSON file of the run.
-        trace_out: Option<String>,
-        /// Deterministic work-unit budget per governed (stage, item).
-        work_budget: Option<u64>,
-        /// Write a decision-provenance JSON report of the run.
-        prov_out: Option<String>,
+        /// The shared pipeline flags.
+        flags: PipelineFlags,
     },
     /// `explain <report.json> [--cfu N | --candidate FP | --kernel F] [--top N]`
     Explain {
@@ -199,10 +224,10 @@ pub const USAGE: &str = "\
 isax — automated instruction-set customization (MICRO-36 2003 reproduction)
 
 USAGE:
-    isax explore   <file.isax> [--check] [--trace-out trace.json] [--prov-out report.json] [--work-budget N] [--beam-width N] [--width-aware]
-    isax customize <file.isax> [--budget N] [--name APP] [--out mdes.json] [--multifunction] [--check] [--trace-out trace.json] [--prov-out report.json] [--work-budget N] [--beam-width N] [--width-aware]
+    isax explore   <file.isax> [PIPELINE FLAGS]
+    isax customize <file.isax> [--budget N] [--name APP] [--out mdes.json] [--multifunction] [PIPELINE FLAGS]
     isax lint      <file.isax>
-    isax compile   <file.isax> --mdes mdes.json [--subsumed] [--wildcard] [--emit out.isax] [--check] [--trace-out trace.json] [--prov-out report.json] [--work-budget N]
+    isax compile   <file.isax> --mdes mdes.json [--subsumed] [--wildcard] [--emit out.isax] [PIPELINE FLAGS]
     isax explain   <report.json> [--cfu N | --candidate FINGERPRINT | --kernel FUNC] [--top N]
     isax run       <file.isax> --entry FUNC [--args 1,2,3] [--fuel N]
     isax simulate  <file.isax> --entry FUNC [--args 1,2,3] [--fuel N]
@@ -211,21 +236,39 @@ USAGE:
     isax gen       --stress NAME | --curated NAME | --list  [--out out.isax]
     isax serve     [--addr HOST:PORT] [--workers N] [--queue-cap N] [--admission-budget N] [--access-log V] [--metrics-out PATH]
 
-`--check` (or the ISAX_CHECK=1 environment variable) runs the isax-check
-invariant passes at every pipeline checkpoint and aborts with IC0xxx
-diagnostics on the first violation.
+PIPELINE FLAGS: [--check] [--beam-width N] [--width-aware] [--work-budget N]
+[--prov-out report.json] [--trace-out trace.json]
+
+CONFIGURATION: each pipeline flag overrides its variable (flag > variable
+> default). A blank variable is unset; a malformed one makes `isax` exit
+with status 2 before doing any work. On/off means 1/on/true/yes or
+0/off/false/no; an on/off flag can only switch its knob on.
+
+  variable          flag             grammar                  default    changes artifacts?
+  ISAX_CHECK        --check          on/off                   off        no (aborts on IC0xxx)
+  ISAX_BEAM         --beam-width N   integer, 0 = exhaustive  0          yes
+  ISAX_WIDTH        --width-aware    on/off                   off        yes
+  ISAX_BUDGET       --work-budget N  integer work units       unlimited  yes, when it truncates
+  ISAX_DEADLINE_MS  -                integer milliseconds     none       yes, non-reproducibly
+  ISAX_FAULT        -                stage:panic|exhaust:nth  none       yes (fault testing)
+  ISAX_PROV         --prov-out PATH  on/off or a report path  off        no (adds a report)
+
+`--check` runs the isax-check invariant passes at every pipeline
+checkpoint. `--beam-width N` keeps the N best-scored frontier candidates
+per exploration level. `--width-aware` prices each primitive at the
+operand width the dataflow analyses prove instead of 32 bits.
+`--work-budget N` bounds every governed stage to N deterministic work
+units per item and prints one `degraded:` line per truncation (`--budget`
+is the CFU *area* budget in adders). `--prov-out PATH` writes the
+decision-provenance report — why every candidate subgraph was
+discovered, pruned, subsumed, selected, matched or replaced — to PATH;
+ISAX_PROV=1 prints a one-line summary instead. Query a report with
+`isax explain`.
 
 `--trace-out PATH` writes a Chrome trace_event JSON file of the run
 (open in chrome://tracing or https://ui.perfetto.dev). Setting
 ISAX_TRACE=1 instead prints a stage summary to stderr; ISAX_TRACE=PATH
 does both.
-
-`--prov-out PATH` records decision provenance — why every candidate
-subgraph was discovered, pruned, subsumed, selected, matched or
-replaced — and writes the versioned JSON report to PATH. Setting
-ISAX_PROV=1 instead prints a one-line summary to the command output;
-ISAX_PROV=PATH writes the report there (`0`/`off` disable). Query a
-report with `isax explain`.
 
 `isax lint` solves the value-range and known-bits dataflow analyses for
 every function and prints IC08xx findings: shift amounts provably >= 32
@@ -233,25 +276,6 @@ every function and prints IC08xx findings: shift amounts provably >= 32
 (IC0803), constant-foldable operations (IC0804) and unreachable blocks
 (IC0805). Findings are warnings; the command only fails on I/O or parse
 errors.
-
-`--width-aware` (or ISAX_WIDTH=1) prices each primitive at the effective
-operand width inferred by the dataflow analyses instead of the full 32
-bits, so a provably-8-bit add costs a quarter of a 32-bit one in both
-the explorer's guide and the selector's area accounting. Off by
-default; default outputs are byte-identical with or without this build.
-
-`--beam-width N` (or ISAX_BEAM=N) switches exploration to beam-ordered
-growth: each frontier level keeps only the N best-scored unexamined
-candidates. Unset (or 0) is the exhaustive depth-first default.
-
-`--work-budget N` (or ISAX_BUDGET=N) bounds every governed pipeline stage
-to N deterministic work units per item — candidates examined, VF2 states
-visited, scheduler steps — and degrades gracefully to best-so-far results,
-printing one `degraded:` line per truncation. Note `--budget` is the CFU
-*area* budget in adders; `--work-budget` is compute effort. Related
-environment variables: ISAX_DEADLINE_MS=N adds a wall-clock safety net
-(marks the run non-reproducible when it trips); ISAX_FAULT=stage:kind:nth
-(e.g. `match:panic:0`) injects a fault for testing containment.
 
 `isax gen` emits a verifier-clean, lint-clean kernel deterministically
 derived from `--seed`/`--domain`/`--blocks` (the kernels under
@@ -292,26 +316,14 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn beam_width_flag(args: &[String]) -> Result<Option<usize>, UsageError> {
-    match flag_value(args, "--beam-width") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&w| w > 0)
-            .map(Some)
-            .ok_or_else(|| UsageError(format!("bad --beam-width `{v}` (want a positive integer)"))),
-        None => Ok(None),
-    }
-}
-
-fn work_budget_flag(args: &[String]) -> Result<Option<u64>, UsageError> {
-    match flag_value(args, "--work-budget") {
-        Some(v) => v
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| UsageError(format!("bad --work-budget `{v}`"))),
-        None => Ok(None),
-    }
+/// A flag overriding an integer [`RunConfig`] field, parsed by the
+/// same grammar as its environment variable.
+fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, UsageError> {
+    flag_value(args, flag)
+        .map(|v| {
+            isax::config::parse_number(v).map_err(|e| UsageError(format!("bad {flag} `{v}` ({e})")))
+        })
+        .transpose()
 }
 
 /// Parses a command line (without the program name).
@@ -399,12 +411,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
     match cmd.as_str() {
         "explore" => Ok(Command::Explore {
             file,
-            check: has_flag(rest, "--check"),
-            trace_out: flag_value(rest, "--trace-out").map(str::to_string),
-            work_budget: work_budget_flag(rest)?,
-            prov_out: flag_value(rest, "--prov-out").map(str::to_string),
-            beam_width: beam_width_flag(rest)?,
-            width_aware: has_flag(rest, "--width-aware"),
+            flags: PipelineFlags::parse(rest)?,
         }),
         "lint" => Ok(Command::Lint { file }),
         "customize" => {
@@ -428,12 +435,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 name,
                 out: flag_value(rest, "--out").map(str::to_string),
                 multifunction: has_flag(rest, "--multifunction"),
-                check: has_flag(rest, "--check"),
-                trace_out: flag_value(rest, "--trace-out").map(str::to_string),
-                work_budget: work_budget_flag(rest)?,
-                prov_out: flag_value(rest, "--prov-out").map(str::to_string),
-                beam_width: beam_width_flag(rest)?,
-                width_aware: has_flag(rest, "--width-aware"),
+                flags: PipelineFlags::parse(rest)?,
             })
         }
         "compile" => {
@@ -446,10 +448,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                 subsumed: has_flag(rest, "--subsumed"),
                 wildcard: has_flag(rest, "--wildcard"),
                 emit: flag_value(rest, "--emit").map(str::to_string),
-                check: has_flag(rest, "--check"),
-                trace_out: flag_value(rest, "--trace-out").map(str::to_string),
-                work_budget: work_budget_flag(rest)?,
-                prov_out: flag_value(rest, "--prov-out").map(str::to_string),
+                flags: PipelineFlags::parse(rest)?,
             })
         }
         "explain" => {
@@ -536,68 +535,42 @@ fn load_program(path: &str) -> Result<Program, String> {
 }
 
 impl Command {
-    /// The `--trace-out` path, for the commands that accept one.
-    pub fn trace_out(&self) -> Option<&str> {
+    /// The shared pipeline flags, for the commands that take them.
+    fn flags(&self) -> Option<&PipelineFlags> {
         match self {
-            Command::Explore { trace_out, .. }
-            | Command::Customize { trace_out, .. }
-            | Command::Compile { trace_out, .. } => trace_out.as_deref(),
-            _ => None,
-        }
-    }
-
-    /// The `--prov-out` path, for the commands that accept one.
-    pub fn prov_out(&self) -> Option<&str> {
-        match self {
-            Command::Explore { prov_out, .. }
-            | Command::Customize { prov_out, .. }
-            | Command::Compile { prov_out, .. } => prov_out.as_deref(),
+            Command::Explore { flags, .. }
+            | Command::Customize { flags, .. }
+            | Command::Compile { flags, .. } => Some(flags),
             _ => None,
         }
     }
 }
 
-/// Where a pipeline command's provenance goes: nowhere, a one-line
-/// summary on the command output, or a full JSON report file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ProvSink {
-    Off,
-    Summary,
-    File(String),
+/// The pipeline a command runs: the environment's [`RunConfig`] with
+/// `flags` applied. Also returns where provenance goes and, unless that
+/// is nowhere, the guard keeping recording on for the run.
+fn pipeline(
+    flags: &PipelineFlags,
+) -> Result<(Customizer, EnvMode, Option<isax_prov::EnableGuard>), String> {
+    let run = flags.apply(RunConfig::from_env()?);
+    let cz = Customizer::with_context(Arc::new(SharedContext::from_config(&run)));
+    let recording = (run.prov != EnvMode::Off).then(isax_prov::enable);
+    Ok((cz, run.prov, recording))
 }
 
-impl ProvSink {
-    /// Resolves the destination: an explicit `--prov-out` beats the
-    /// `ISAX_PROV` environment variable.
-    fn resolve(prov_out: Option<&str>) -> ProvSink {
-        match prov_out {
-            Some(p) => ProvSink::File(p.to_string()),
-            None => match isax_prov::env_mode() {
-                isax_prov::EnvMode::Off => ProvSink::Off,
-                isax_prov::EnvMode::Summary => ProvSink::Summary,
-                isax_prov::EnvMode::Path(p) => ProvSink::File(p),
-            },
-        }
-    }
-
-    /// Turns recording on for the pipeline run when the sink wants it.
-    fn guard(&self) -> Option<isax_prov::EnableGuard> {
-        (*self != ProvSink::Off).then(isax_prov::enable)
-    }
-}
-
-/// Builds the provenance report from a merged log and delivers it to the
-/// sink; with `check` set, cross-validates it first (IC07xx).
+/// Builds the provenance report from a merged log and delivers it to
+/// `sink` (a one-line summary on the command output, or a JSON report
+/// file); with `check` set, cross-validates it first (IC07xx).
 fn emit_prov(
     out: &mut dyn std::io::Write,
-    sink: &ProvSink,
+    sink: &EnvMode,
     app: &str,
     log: &isax::ProvLog,
     check: bool,
     mdes: Option<&Mdes>,
     compiled: Option<&isax_compiler::CompiledProgram>,
 ) -> Result<(), String> {
-    if *sink == ProvSink::Off {
+    if *sink == EnvMode::Off {
         return Ok(());
     }
     let doc = isax::build_report(app, log);
@@ -606,9 +579,9 @@ fn emit_prov(
     }
     let summary = isax_prov::summarize(log).one_line();
     match sink {
-        ProvSink::Off => unreachable!(),
-        ProvSink::Summary => writeln!(out, "provenance: {summary}").map_err(|e| e.to_string()),
-        ProvSink::File(path) => {
+        EnvMode::Off => unreachable!(),
+        EnvMode::Summary => writeln!(out, "provenance: {summary}").map_err(|e| e.to_string()),
+        EnvMode::Path(path) => {
             let mut text = doc.to_string_pretty();
             text.push('\n');
             std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
@@ -970,7 +943,7 @@ fn explain(
 ///
 /// Returns a description of the failure (file, parse, or execution).
 pub fn execute(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let Some(path) = cmd.trace_out() else {
+    let Some(path) = cmd.flags().and_then(|f| f.trace_out.as_deref()) else {
         return execute_inner(cmd, out);
     };
     let rec = isax_trace::Recorder::install();
@@ -996,29 +969,9 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
         Ok(())
     }
     match cmd {
-        Command::Explore {
-            file,
-            check,
-            work_budget,
-            prov_out,
-            beam_width,
-            width_aware,
-            ..
-        } => {
+        Command::Explore { file, flags } => {
             let p = load_program(file)?;
-            let sink = ProvSink::resolve(prov_out.as_deref());
-            let _prov = sink.guard();
-            let mut cz = Customizer::new();
-            cz.check |= *check;
-            if *width_aware {
-                cz.ctx_mut().hw = cz.hw.clone().with_width_aware(true);
-            }
-            if beam_width.is_some() {
-                cz.ctx_mut().explore.beam_width = *beam_width;
-            }
-            if let Some(u) = work_budget {
-                cz.guard = cz.guard.clone().with_units(*u);
-            }
+            let (cz, sink, _recording) = pipeline(flags)?;
             let analysis = cz.analyze(&p);
             report_degradations(out, &analysis.degradations)?;
             w(
@@ -1072,27 +1025,10 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
             name,
             out: out_path,
             multifunction,
-            check,
-            work_budget,
-            prov_out,
-            beam_width,
-            width_aware,
-            ..
+            flags,
         } => {
             let p = load_program(file)?;
-            let sink = ProvSink::resolve(prov_out.as_deref());
-            let _prov = sink.guard();
-            let mut cz = Customizer::new();
-            cz.check |= *check;
-            if *width_aware {
-                cz.ctx_mut().hw = cz.hw.clone().with_width_aware(true);
-            }
-            if beam_width.is_some() {
-                cz.ctx_mut().explore.beam_width = *beam_width;
-            }
-            if let Some(u) = work_budget {
-                cz.guard = cz.guard.clone().with_units(*u);
-            }
+            let (cz, sink, _recording) = pipeline(flags)?;
             let analysis = cz.analyze(&p);
             report_degradations(out, &analysis.degradations)?;
             let (mdes, sel) = if *multifunction {
@@ -1145,21 +1081,12 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
             subsumed,
             wildcard,
             emit,
-            check,
-            work_budget,
-            prov_out,
-            ..
+            flags,
         } => {
             let p = load_program(file)?;
-            let sink = ProvSink::resolve(prov_out.as_deref());
-            let _prov = sink.guard();
+            let (cz, sink, _recording) = pipeline(flags)?;
             let text = std::fs::read_to_string(mdes).map_err(|e| format!("{mdes}: {e}"))?;
             let mdes = Mdes::from_json(&text).map_err(|e| format!("{mdes}: {e}"))?;
-            let mut cz = Customizer::new();
-            cz.check |= *check;
-            if let Some(u) = work_budget {
-                cz.guard = cz.guard.clone().with_units(*u);
-            }
             let matching = MatchOptions {
                 mode: if *wildcard {
                     MatchMode::Wildcard
@@ -1408,6 +1335,10 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    fn flags(cmd: &str) -> PipelineFlags {
+        parse_args(&argv(cmd)).unwrap().flags().unwrap().clone()
+    }
+
     #[test]
     fn parse_all_commands() {
         assert!(matches!(
@@ -1426,12 +1357,7 @@ mod tests {
                 name: "bf".into(),
                 out: Some("m.json".into()),
                 multifunction: false,
-                check: false,
-                trace_out: None,
-                work_budget: None,
-                prov_out: None,
-                beam_width: None,
-                width_aware: false,
+                flags: PipelineFlags::default(),
             }
         );
         assert_eq!(
@@ -1440,73 +1366,40 @@ mod tests {
                 file: "k.isax".into()
             }
         );
-        assert!(matches!(
-            parse_args(&argv("explore k.isax --width-aware")).unwrap(),
-            Command::Explore {
-                width_aware: true,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse_args(&argv("customize k.isax --width-aware")).unwrap(),
-            Command::Customize {
-                width_aware: true,
-                ..
-            }
-        ));
-        let c = parse_args(&argv("explore k.isax --beam-width 64")).unwrap();
-        assert!(matches!(
-            c,
-            Command::Explore {
-                beam_width: Some(64),
-                ..
-            }
-        ));
-        let c = parse_args(&argv("customize k.isax --beam-width 8")).unwrap();
-        assert!(matches!(
-            c,
-            Command::Customize {
-                beam_width: Some(8),
-                ..
-            }
-        ));
-        assert!(parse_args(&argv("explore k.isax --beam-width 0")).is_err());
+        assert!(flags("explore k.isax --width-aware").width_aware);
+        assert!(flags("customize k.isax --width-aware").width_aware);
+        assert_eq!(flags("explore k.isax --beam-width 64").beam_width, Some(64));
+        assert_eq!(flags("customize k.isax --beam-width 8").beam_width, Some(8));
+        // 0 is the exhaustive walk, as for ISAX_BEAM=0.
+        assert_eq!(flags("explore k.isax --beam-width 0").beam_width, Some(0));
         assert!(parse_args(&argv("explore k.isax --beam-width nope")).is_err());
-        let c = parse_args(&argv("explore k.isax --work-budget 5000")).unwrap();
-        assert!(matches!(
-            c,
-            Command::Explore {
-                work_budget: Some(5000),
-                ..
-            }
-        ));
-        assert!(parse_args(&argv("explore k.isax --work-budget nope")).is_err());
-        let c = parse_args(&argv("compile k.isax --mdes m.json --work-budget 12")).unwrap();
-        assert!(matches!(
-            c,
-            Command::Compile {
-                work_budget: Some(12),
-                ..
-            }
-        ));
-        let c = parse_args(&argv("explore k.isax --trace-out t.json")).unwrap();
-        assert_eq!(c.trace_out(), Some("t.json"));
-        let c = parse_args(&argv("compile k.isax --mdes m.json --trace-out t.json")).unwrap();
-        assert_eq!(c.trace_out(), Some("t.json"));
         assert_eq!(
-            parse_args(&argv("run k.isax --entry f"))
-                .unwrap()
-                .trace_out(),
+            flags("explore k.isax --work-budget 5000").work_budget,
+            Some(5000)
+        );
+        assert!(parse_args(&argv("explore k.isax --work-budget nope")).is_err());
+        assert_eq!(
+            flags("compile k.isax --mdes m.json --work-budget 12").work_budget,
+            Some(12)
+        );
+        assert_eq!(
+            flags("explore k.isax --trace-out t.json")
+                .trace_out
+                .as_deref(),
+            Some("t.json")
+        );
+        assert_eq!(
+            flags("compile k.isax --mdes m.json --trace-out t.json")
+                .trace_out
+                .as_deref(),
+            Some("t.json")
+        );
+        assert_eq!(
+            parse_args(&argv("run k.isax --entry f")).unwrap().flags(),
             None
         );
-        assert!(matches!(
-            parse_args(&argv("explore k.isax --check")).unwrap(),
-            Command::Explore { check: true, .. }
-        ));
-        assert!(matches!(
-            parse_args(&argv("compile k.isax --mdes m.json --check")).unwrap(),
-            Command::Compile { check: true, .. }
-        ));
+        assert!(flags("explore k.isax --check").check);
+        assert!(flags("compile k.isax --mdes m.json --check").check);
         let c = parse_args(&argv("compile k.isax --mdes m.json --subsumed --wildcard")).unwrap();
         assert!(matches!(
             c,
@@ -1525,18 +1418,13 @@ mod tests {
             parse_args(&argv("dot k.isax --block 1")).unwrap(),
             Command::Dot { block: 1, .. }
         ));
-        let c = parse_args(&argv("customize k.isax --prov-out p.json")).unwrap();
-        assert_eq!(c.prov_out(), Some("p.json"));
-        let c = parse_args(&argv("explore k.isax --prov-out p.json")).unwrap();
-        assert_eq!(c.prov_out(), Some("p.json"));
-        let c = parse_args(&argv("compile k.isax --mdes m.json --prov-out p.json")).unwrap();
-        assert_eq!(c.prov_out(), Some("p.json"));
-        assert_eq!(
-            parse_args(&argv("run k.isax --entry f"))
-                .unwrap()
-                .prov_out(),
-            None
-        );
+        for cmd in [
+            "customize k.isax --prov-out p.json",
+            "explore k.isax --prov-out p.json",
+            "compile k.isax --mdes m.json --prov-out p.json",
+        ] {
+            assert_eq!(flags(cmd).prov_out.as_deref(), Some("p.json"), "{cmd}");
+        }
         let c = parse_args(&argv(
             "explain report.json --cfu 3 --kernel rijndael --top 5",
         ))
@@ -1562,6 +1450,49 @@ mod tests {
         ));
         assert!(parse_args(&argv("explain report.json --cfu nope")).is_err());
         assert!(parse_args(&argv("explain report.json --top nope")).is_err());
+    }
+
+    #[test]
+    fn flags_override_the_environment_field_by_field() {
+        let env = RunConfig {
+            check: false,
+            beam_width: 8,
+            width_aware: false,
+            work_budget: Some(100),
+            deadline_ms: Some(5),
+            fault: None,
+            prov: EnvMode::Summary,
+        };
+        // No flag given: the environment's values stand.
+        assert_eq!(PipelineFlags::default().apply(env.clone()), env);
+        let given = flags(
+            "customize k.isax --check --width-aware --beam-width 0 --work-budget 7 --prov-out p.json",
+        );
+        let expect = RunConfig {
+            check: true,
+            beam_width: 0,
+            width_aware: true,
+            work_budget: Some(7),
+            deadline_ms: Some(5),
+            fault: None,
+            prov: EnvMode::Path("p.json".into()),
+        };
+        assert_eq!(given.apply(env), expect, "flag > env");
+        assert_eq!(
+            given.apply(RunConfig::default()),
+            RunConfig {
+                deadline_ms: None,
+                ..expect
+            },
+            "flag > default"
+        );
+        // An on/off flag can only switch its knob on.
+        let on = RunConfig {
+            check: true,
+            width_aware: true,
+            ..RunConfig::default()
+        };
+        assert_eq!(flags("explore k.isax").apply(on.clone()), on);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 #![forbid(unsafe_code)]
 
 fn main() {
-    // The pipeline reads a malformed governance variable as unset;
-    // report the typo instead of running ungoverned.
-    if let Err(e) = isax::Guard::try_from_env() {
+    // A malformed configuration variable is reported before any work
+    // (the library would panic on it).
+    if let Err(e) = isax::RunConfig::from_env() {
         eprintln!("{e}");
         std::process::exit(2);
     }

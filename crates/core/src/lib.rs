@@ -47,9 +47,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod experiment;
 pub mod pipeline;
 
+pub use config::RunConfig;
 pub use experiment::{
     cross_speedup, generalization_bars, limit_speedup, native_speedup, speedup_on,
     GeneralizationBars,

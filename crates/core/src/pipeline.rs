@@ -16,20 +16,22 @@
 //! and selects fifteen times.
 //!
 //! When [`Customizer::check`] is set (the `--check` CLI flag or the
-//! `ISAX_CHECK` environment variable), the pipeline runs the
-//! [`isax_check`] invariant passes at a checkpoint after every stage —
-//! IR/CFG verification and DFG structure after analysis, candidate/CFU
-//! legality after combination, MDES and selection consistency after
-//! selection, and replacement/schedule soundness after evaluation — and
-//! aborts with structured `IC0xxx` diagnostics on the first violation.
+//! `ISAX_CHECK` environment variable, see [`RunConfig`]), the pipeline
+//! runs the [`isax_check`] invariant passes at a checkpoint after every
+//! stage — IR/CFG verification and DFG structure after analysis,
+//! candidate/CFU legality after combination, MDES and selection
+//! consistency after selection, and replacement/schedule soundness
+//! after evaluation — and aborts with structured `IC0xxx` diagnostics
+//! on the first violation.
 
+use crate::RunConfig;
 use isax_compiler::{
     baseline_cycles, compile_guarded, CompileOptions, CompiledProgram, MatchOptions, Mdes,
     VliwModel,
 };
 use isax_explore::{explore_app_guarded, Candidate, ExploreConfig, ExploreStats};
 use isax_graph::par;
-use isax_guard::{Degradation, Guard, Stage};
+use isax_guard::{Budget, Degradation, FaultPlan, Guard, Stage};
 use isax_hwlib::HwLibrary;
 use isax_ir::dataflow::SolveStats;
 use isax_ir::{function_dfgs, Dfg, Program};
@@ -38,37 +40,62 @@ use isax_select::{
     select_multifunction, CfuCandidate, SelectConfig, Selection,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The immutable half of the pipeline configuration: everything that is
 /// identical for every request a long-running service handles. One
 /// `Arc<SharedContext>` is built at startup and shared (read-only) by
-/// every concurrent request; per-request knobs stay on [`Customizer`].
+/// every concurrent request; per-request state lives on [`Customizer`],
+/// starting from the defaults kept here.
 #[derive(Debug, Clone)]
 pub struct SharedContext {
-    /// Hardware timing/area library.
+    /// Hardware timing/area library; `width_aware` comes from
+    /// [`RunConfig::width_aware`].
     pub hw: HwLibrary,
-    /// Exploration constraints (ports, area caps, guide tuning).
-    /// `beam_width` defaults from the `ISAX_BEAM` environment variable
-    /// (unset or `0` keeps the exhaustive depth-first walk).
+    /// Exploration constraints (ports, area caps, guide tuning);
+    /// `beam_width` comes from [`RunConfig::beam_width`].
     pub explore: ExploreConfig,
     /// Cap on each CFU's contraction closure.
     pub closure_cap: usize,
     /// Baseline machine shape.
     pub model: VliwModel,
+    /// Default for each request's [`Customizer::check`].
+    pub check: bool,
+    /// Default budget of each request's [`Customizer::guard`].
+    pub budget: Budget,
+    /// Default fault plan of each request's [`Customizer::guard`].
+    pub fault: Option<FaultPlan>,
 }
 
 impl SharedContext {
-    /// The paper's defaults: 0.18 µ library, 5-in/3-out ports,
-    /// ten-point guide categories, 4-wide VLIW.
+    /// The paper's defaults (0.18 µ library, 5-in/3-out ports,
+    /// ten-point guide categories, 4-wide VLIW) under the environment's
+    /// [`RunConfig`].
+    ///
+    /// # Panics
+    ///
+    /// On a malformed `ISAX_*` configuration value, with the
+    /// [`RunConfig::from_env`] diagnostic.
     pub fn new() -> Self {
+        SharedContext::from_config(&RunConfig::from_env().unwrap_or_else(|e| panic!("{e}")))
+    }
+
+    /// The paper's defaults under an explicit run configuration.
+    pub fn from_config(run: &RunConfig) -> Self {
         SharedContext {
-            hw: HwLibrary::micron_018().with_width_aware(width_aware_from_env()),
+            hw: HwLibrary::micron_018().with_width_aware(run.width_aware),
             explore: ExploreConfig {
-                beam_width: beam_width_from_env(),
+                beam_width: (run.beam_width > 0).then_some(run.beam_width),
                 ..ExploreConfig::default()
             },
             closure_cap: 64,
             model: VliwModel::default(),
+            check: run.check,
+            budget: Budget {
+                units: run.work_budget,
+                deadline: run.deadline_ms.map(Duration::from_millis),
+            },
+            fault: run.fault,
         }
     }
 }
@@ -93,13 +120,12 @@ pub struct Customizer {
     /// closure cap, machine model).
     pub ctx: Arc<SharedContext>,
     /// Run the `isax-check` invariant passes at every stage checkpoint
-    /// and abort on violations. Defaults to the `ISAX_CHECK`
-    /// environment variable.
+    /// and abort on violations. Defaults to [`SharedContext::check`].
     pub check: bool,
     /// Resource governance: deterministic work-unit budgets, optional
     /// wall-clock deadline, panic containment and fault injection.
-    /// Defaults from the `ISAX_BUDGET` / `ISAX_DEADLINE_MS` /
-    /// `ISAX_FAULT` environment variables. With none set the guard is
+    /// Defaults to a guard over [`SharedContext::budget`] and
+    /// [`SharedContext::fault`]. With neither set the guard is
     /// unlimited: no meter stops, but worker panics are still contained
     /// and reported as `panicked` degradations.
     pub guard: Guard,
@@ -220,45 +246,31 @@ fn selection_prov(cfus: &[CfuCandidate], sel: &mut Selection) {
     sel.prov = log;
 }
 
-/// Parses the `ISAX_BEAM` environment variable: a positive integer beam
-/// width for the explorer's frontier, or unset/`0`/garbage for `None`
-/// (the exhaustive depth-first default).
-fn beam_width_from_env() -> Option<usize> {
-    std::env::var("ISAX_BEAM")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&w| w > 0)
-}
-
-/// True when the `ISAX_WIDTH` environment variable requests width-aware
-/// costing (`1`, `true`, `on`, or `yes`, case-insensitive). Off by
-/// default: every primitive is priced at the full 32-bit width and all
-/// outputs are byte-identical to previous releases.
-fn width_aware_from_env() -> bool {
-    match std::env::var("ISAX_WIDTH") {
-        Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"),
-        Err(_) => false,
-    }
-}
-
 impl Customizer {
-    /// Creates a pipeline with the paper's defaults: 0.18 µ library,
-    /// 5-in/3-out ports, ten-point guide categories, 4-wide VLIW.
+    /// Creates a pipeline over [`SharedContext::new`]: the paper's
+    /// defaults under the environment's [`RunConfig`].
+    ///
+    /// # Panics
+    ///
+    /// On a malformed `ISAX_*` configuration value.
     pub fn new() -> Self {
         Customizer::with_context(Arc::new(SharedContext::new()))
     }
 
     /// Creates a pipeline over an existing shared context, with
-    /// per-request state defaulted from the environment. This is how a
-    /// long-running server hands each request the same (never-cloned)
-    /// hardware library and exploration config.
+    /// per-request state defaulted from it. This is how a long-running
+    /// server hands each request the same (never-cloned) hardware
+    /// library and exploration config. Reads no environment; the guard
+    /// is new, so its deadline clock starts now.
     pub fn with_context(ctx: Arc<SharedContext>) -> Self {
+        let mut guard = Guard::new(ctx.budget);
+        if let Some(fault) = ctx.fault {
+            guard = guard.with_fault(fault);
+        }
         Customizer {
+            check: ctx.check,
+            guard,
             ctx,
-            check: isax_check::env_enabled(),
-            guard: Guard::from_env(),
         }
     }
 
@@ -268,8 +280,7 @@ impl Customizer {
     /// [`Customizer::new`].
     pub fn with_memory_cfus() -> Self {
         let mut cz = Customizer::new();
-        cz.ctx_mut().hw =
-            HwLibrary::micron_018_with_memory().with_width_aware(width_aware_from_env());
+        cz.ctx_mut().hw = HwLibrary::micron_018_with_memory().with_width_aware(cz.hw.width_aware);
         cz
     }
 

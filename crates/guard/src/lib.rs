@@ -138,50 +138,6 @@ impl FaultPlan {
             .map_err(|_| format!("fault ordinal `{nth}` in `{spec}` is not a number"))?;
         Ok(FaultPlan { stage, kind, nth })
     }
-
-    /// Reads `ISAX_FAULT`. Unset or invalid specs yield `None`; the
-    /// `isax` binary calls [`Guard::try_from_env`] at startup so typos
-    /// are reported there.
-    pub fn from_env() -> Option<FaultPlan> {
-        fault_var(&env_lookup).ok().flatten()
-    }
-}
-
-/// Looks a variable up in the process environment.
-fn env_lookup(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
-
-/// Parses one governance variable looked up through `var`. Unset and
-/// blank values are `Ok(None)`; anything else must parse.
-fn parse_var<T>(
-    var: &dyn Fn(&str) -> Option<String>,
-    name: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    let Some(value) = var(name) else {
-        return Ok(None);
-    };
-    let v = value.trim();
-    if v.is_empty() {
-        return Ok(None);
-    }
-    parse(v)
-        .map(Some)
-        .map_err(|e| format!("bad {name}=`{value}`: {e}"))
-}
-
-/// `ISAX_BUDGET` or `ISAX_DEADLINE_MS`: a non-negative integer.
-fn units_var(var: &dyn Fn(&str) -> Option<String>, name: &str) -> Result<Option<u64>, String> {
-    parse_var(var, name, |v| {
-        v.parse::<u64>()
-            .map_err(|_| "want a non-negative integer".to_string())
-    })
-}
-
-/// `ISAX_FAULT`: a [`FaultPlan::parse`] spec.
-fn fault_var(var: &dyn Fn(&str) -> Option<String>) -> Result<Option<FaultPlan>, String> {
-    parse_var(var, "ISAX_FAULT", FaultPlan::parse)
 }
 
 /// The resource limits a [`Guard`] enforces.
@@ -207,19 +163,6 @@ impl Budget {
         Budget {
             units: Some(units),
             deadline: None,
-        }
-    }
-
-    /// Reads `ISAX_BUDGET` (work units) and `ISAX_DEADLINE_MS`
-    /// (wall-clock safety net). Unset or unparsable values mean "no
-    /// limit"; the `isax` binary rejects unparsable values at startup.
-    pub fn from_env() -> Budget {
-        Budget {
-            units: units_var(&env_lookup, "ISAX_BUDGET").ok().flatten(),
-            deadline: units_var(&env_lookup, "ISAX_DEADLINE_MS")
-                .ok()
-                .flatten()
-                .map(Duration::from_millis),
         }
     }
 
@@ -268,34 +211,6 @@ impl Guard {
             fault: None,
             started: Instant::now(),
         }
-    }
-
-    /// Builds a guard from `ISAX_BUDGET`, `ISAX_DEADLINE_MS` and
-    /// `ISAX_FAULT`. With none of those set the guard is inactive. A
-    /// value that does not parse reads as unset; see
-    /// [`Guard::try_from_env`] for the strict form.
-    pub fn from_env() -> Guard {
-        let mut g = Guard::new(Budget::from_env());
-        g.fault = FaultPlan::from_env();
-        g
-    }
-
-    /// [`Guard::from_env`], but a malformed variable is an error: a
-    /// one-line diagnostic naming the variable and its value.
-    pub fn try_from_env() -> Result<Guard, String> {
-        Guard::try_from_vars(env_lookup)
-    }
-
-    /// [`Guard::try_from_env`] over variables looked up through `var`
-    /// instead of the process environment, so tests need not mutate it.
-    /// Unset and blank variables are treated as unset.
-    fn try_from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Guard, String> {
-        let mut g = Guard::new(Budget {
-            units: units_var(&var, "ISAX_BUDGET")?,
-            deadline: units_var(&var, "ISAX_DEADLINE_MS")?.map(Duration::from_millis),
-        });
-        g.fault = fault_var(&var)?;
-        Ok(g)
     }
 
     /// Replaces the per-meter work-unit limit.
@@ -771,34 +686,6 @@ mod tests {
         assert!(Guard::unlimited()
             .with_fault(FaultPlan::parse("explore:exhaust:0").unwrap())
             .is_active());
-    }
-
-    #[test]
-    fn strict_env_parsing_rejects_typos() {
-        let env = |name: &'static str, value: &'static str| {
-            move |var: &str| (var == name).then(|| value.to_string())
-        };
-        for (name, value) in [
-            ("ISAX_FAULT", "explore:panc:0"),
-            ("ISAX_FAULT", "explore:panic"),
-            ("ISAX_BUDGET", "lots"),
-            ("ISAX_BUDGET", "1e6"),
-            ("ISAX_DEADLINE_MS", "-1"),
-        ] {
-            let e = Guard::try_from_vars(env(name, value)).unwrap_err();
-            assert!(e.contains(name) && e.contains(value), "{e}");
-            assert!(!e.contains('\n'), "diagnostic is one line: {e}");
-        }
-        let g = Guard::try_from_vars(env("ISAX_FAULT", "match:exhaust:3")).unwrap();
-        assert_eq!(g.fault(), FaultPlan::parse("match:exhaust:3").ok());
-        let g = Guard::try_from_vars(env("ISAX_BUDGET", " 5000 ")).unwrap();
-        assert_eq!(g.budget().units, Some(5000));
-        let g = Guard::try_from_vars(env("ISAX_DEADLINE_MS", "0")).unwrap();
-        assert_eq!(g.budget().deadline, Some(Duration::ZERO));
-        assert!(!Guard::try_from_vars(env("ISAX_BUDGET", ""))
-            .unwrap()
-            .is_active());
-        assert!(!Guard::try_from_vars(|_| None).unwrap().is_active());
     }
 
     #[test]

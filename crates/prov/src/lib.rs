@@ -38,47 +38,44 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Report format version stamped into every emitted document.
 pub const REPORT_VERSION: u64 = 1;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Number of live [`EnableGuard`]s.
+static ENABLED: AtomicUsize = AtomicUsize::new(0);
 
 /// Is provenance recording enabled? One relaxed load — callers on hot
 /// paths should hoist this into a local before a loop.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enable or disable recording.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+    ENABLED.load(Ordering::Relaxed) > 0
 }
 
 /// Enables recording for the lifetime of the returned guard.
 ///
-/// The flag is global: overlapping guards in concurrent tests should be
-/// serialized by the caller (the same caveat as `isax_trace`).
+/// The switch is global and counted: recording stays on while any
+/// guard is alive, so two servers (or two CLI runs) in one process do
+/// not turn each other's recording off.
 #[must_use = "recording stops when the guard is dropped"]
 pub fn enable() -> EnableGuard {
-    set_enabled(true);
+    ENABLED.fetch_add(1, Ordering::SeqCst);
     EnableGuard(())
 }
 
-/// RAII guard from [`enable`]; disables recording on drop.
+/// RAII guard from [`enable`]; releases its share of the switch on drop.
 pub struct EnableGuard(());
 
 impl Drop for EnableGuard {
     fn drop(&mut self) {
-        set_enabled(false);
+        ENABLED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// The shared observability env-var grammar (`ISAX_PROV` here,
-/// `ISAX_TRACE` and `ISAX_SERVE_STATS` elsewhere), re-exported from its
-/// one canonical home in `isax-trace`.
+/// The shared observability env-var grammar (`ISAX_PROV`, `ISAX_TRACE`
+/// and `ISAX_SERVE_STATS`), re-exported from its one canonical home in
+/// `isax-trace`.
 ///
 /// ```
 /// use isax_prov::{parse_env_value, EnvMode};
@@ -87,14 +84,6 @@ impl Drop for EnableGuard {
 /// assert_eq!(parse_env_value("report.json"), EnvMode::Path("report.json".into()));
 /// ```
 pub use isax_trace::{parse_env_value, EnvMode};
-
-/// Reads `ISAX_PROV` and parses it; unset means [`EnvMode::Off`].
-pub fn env_mode() -> EnvMode {
-    match std::env::var("ISAX_PROV") {
-        Ok(v) => parse_env_value(&v),
-        Err(_) => EnvMode::Off,
-    }
-}
 
 /// The four-axis guide-function score of §3.2, one point total per axis
 /// group: criticality, latency gain, area cost, I/O feasibility.
@@ -638,17 +627,34 @@ mod tests {
         }
     }
 
+    /// The recording switch is process-global: tests that read or flip
+    /// it hold this lock.
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn disabled_by_default() {
+        let _lock = SWITCH.lock().unwrap();
         assert!(!enabled());
     }
 
     #[test]
     fn enable_guard_restores() {
+        let _lock = SWITCH.lock().unwrap();
         {
             let _g = enable();
             assert!(enabled());
         }
+        assert!(!enabled());
+    }
+
+    #[test]
+    fn overlapping_guards_keep_recording_on_until_the_last_drops() {
+        let _lock = SWITCH.lock().unwrap();
+        let first = enable();
+        let second = enable();
+        drop(first);
+        assert!(enabled(), "dropping one guard must not stop the other");
+        drop(second);
         assert!(!enabled());
     }
 

@@ -104,35 +104,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// One stage's latency aggregate, in microseconds.
-#[derive(Debug, Default, Clone, Copy)]
-struct LatencyAgg {
-    sum_us: u64,
-    count: u64,
-    max_us: u64,
-}
-
-impl LatencyAgg {
-    fn add(&mut self, us: u64) {
-        self.sum_us += us;
-        self.count += 1;
-        self.max_us = self.max_us.max(us);
-    }
-
-    fn to_value(self) -> Value {
-        object([
-            ("sum_us", Value::from(self.sum_us)),
-            ("count", Value::from(self.count)),
-            ("max_us", Value::from(self.max_us)),
-        ])
-    }
-}
-
-#[derive(Debug, Default)]
-struct StatsAgg {
-    stages: BTreeMap<&'static str, LatencyAgg>,
-}
-
 struct Job {
     frame: Frame,
     reply: mpsc::Sender<String>,
@@ -160,10 +131,8 @@ struct Shared {
     queue_cv: Condvar,
     shutdown: AtomicBool,
     cache: ArtifactCache,
-    stats: Mutex<StatsAgg>,
     received: AtomicU64,
     completed: AtomicU64,
-    errors: AtomicU64,
     busy_rejected: AtomicU64,
     clamped: AtomicU64,
     recorder: Option<Arc<isax_trace::Recorder>>,
@@ -173,13 +142,6 @@ struct Shared {
 
 impl Shared {
     fn record_stage(&self, info: &mut WorkInfo, stage: &'static str, us: u64) {
-        self.stats
-            .lock()
-            .expect("stats lock")
-            .stages
-            .entry(stage)
-            .or_default()
-            .add(us);
         self.metrics
             .with_hists(|h| h.stages.entry(stage).or_default().record(us));
         info.stages.push((stage, us));
@@ -192,24 +154,22 @@ impl Shared {
         }
     }
 
-    /// Counts one protocol/pipeline error, both in the legacy total and
-    /// the per-code counter (their sum equality is a tested invariant).
-    fn count_error(&self, code: ErrorCode) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        self.metrics.count_error(code);
-    }
-
     /// The live statistics snapshot the `stats` request returns.
     fn stats_value(&self) -> Value {
         let queue_depth = self.queue.lock().expect("queue lock").len();
-        let latency: Vec<(String, Value)> = self
-            .stats
-            .lock()
-            .expect("stats lock")
-            .stages
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.to_value()))
-            .collect();
+        let latency: Vec<(String, Value)> = self.metrics.with_hists(|h| {
+            h.stages
+                .iter()
+                .map(|(k, h)| {
+                    let agg = object([
+                        ("sum_us", Value::from(h.sum())),
+                        ("count", Value::from(h.count())),
+                        ("max_us", Value::from(h.max())),
+                    ]);
+                    ((*k).to_string(), agg)
+                })
+                .collect()
+        });
         let by_code = object(
             self.metrics
                 .by_code()
@@ -238,7 +198,7 @@ impl Shared {
                         "completed",
                         Value::from(self.completed.load(Ordering::Relaxed)),
                     ),
-                    ("errors", Value::from(self.errors.load(Ordering::Relaxed))),
+                    ("errors", Value::from(self.metrics.errors_total())),
                     (
                         "busy_rejected",
                         Value::from(self.busy_rejected.load(Ordering::Relaxed)),
@@ -432,8 +392,8 @@ impl Shared {
     }
 
     /// The pipeline one work request runs: the shared context, the
-    /// per-request state `Customizer::with_context` reads from the
-    /// environment, and the admitted work units.
+    /// per-request defaults `Customizer::with_context` takes from it,
+    /// and the admitted work units.
     fn customizer(&self, work_budget: Option<u64>, info: &mut WorkInfo) -> Customizer {
         let admitted = self.admit(work_budget);
         info.admitted = admitted;
@@ -475,7 +435,7 @@ impl Shared {
                 }
             }
             Err(e) => {
-                self.count_error(e.code);
+                self.metrics.count_error(e.code);
                 Response {
                     id,
                     reply: Reply::Error(e),
@@ -663,10 +623,8 @@ impl Server {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             cache: ArtifactCache::new(),
-            stats: Mutex::new(StatsAgg::default()),
             received: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
             busy_rejected: AtomicU64::new(0),
             clamped: AtomicU64::new(0),
             recorder,
@@ -997,7 +955,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     match decode_request(&line) {
                         Ok(frame) => (seq, rid, frame, received_at),
                         Err(e) => {
-                            shared.count_error(e.code);
+                            shared.metrics.count_error(e.code);
                             log_inline(shared, seq, &rid, "frame", e.code.as_str(), received_at);
                             if respond(&mut writer, frame_id(&line), Reply::Error(e)).is_err() {
                                 return;
@@ -1010,7 +968,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     let received_at = Instant::now();
                     let seq = shared.received.fetch_add(1, Ordering::Relaxed) + 1;
                     let rid = request_id(seq, 0);
-                    shared.count_error(ErrorCode::OversizedFrame);
+                    shared.metrics.count_error(ErrorCode::OversizedFrame);
                     log_inline(
                         shared,
                         seq,
@@ -1032,7 +990,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     let received_at = Instant::now();
                     let seq = shared.received.fetch_add(1, Ordering::Relaxed) + 1;
                     let rid = request_id(seq, 0);
-                    shared.count_error(ErrorCode::TruncatedFrame);
+                    shared.metrics.count_error(ErrorCode::TruncatedFrame);
                     log_inline(
                         shared,
                         seq,
@@ -1080,7 +1038,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     _ => "compile",
                 };
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    shared.count_error(ErrorCode::ShuttingDown);
+                    shared.metrics.count_error(ErrorCode::ShuttingDown);
                     log_inline(
                         shared,
                         seq,
@@ -1118,7 +1076,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 };
                 if !enqueued {
                     shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                    shared.count_error(ErrorCode::Busy);
+                    shared.metrics.count_error(ErrorCode::Busy);
                     log_inline(
                         shared,
                         seq,
@@ -1144,7 +1102,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     // the job was dropped unprocessed, so the worker
                     // never logged it — account for it here.
                     Err(_) => {
-                        shared.count_error(ErrorCode::ShuttingDown);
+                        shared.metrics.count_error(ErrorCode::ShuttingDown);
                         log_inline(
                             shared,
                             seq,

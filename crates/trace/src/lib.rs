@@ -452,14 +452,15 @@ fn json_str(s: &str) -> String {
 
 /// How an observability environment variable was set. This is the one
 /// canonical three-way table for every `ISAX_*` observability variable:
-/// `isax-trace` applies it to `ISAX_TRACE`, `isax-prov` re-exports it
-/// for `ISAX_PROV`, and `isax-serve` re-exports it for
-/// `ISAX_SERVE_STATS` (`isax-trace` is dependency-free, so it is the
-/// natural home).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `isax-trace` applies it to `ISAX_TRACE`, `isax::RunConfig` to
+/// `ISAX_PROV` (and, rejecting the path form, to its on/off
+/// variables), and `isax-serve` re-exports it for `ISAX_SERVE_STATS`
+/// (`isax-trace` is dependency-free, so it is the natural home).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum EnvMode {
     /// Explicitly or implicitly disabled: empty, `0`, `off`, `false`,
     /// `no` (ASCII case-insensitive, after trimming).
+    #[default]
     Off,
     /// Enabled without a destination (`1`, `on`, `true`, `yes`): record
     /// and print the stage summary, write no file.

@@ -79,12 +79,11 @@ fn cli_reference(dir: &Path, name: &str, text: &str, budget: f64, work: Option<u
             name: name.into(),
             out: Some(mdes_path.display().to_string()),
             multifunction: false,
-            check: false,
-            trace_out: None,
-            work_budget: work,
-            prov_out: Some(cprov_path.display().to_string()),
-            beam_width: None,
-            width_aware: false,
+            flags: isax_cli::PipelineFlags {
+                work_budget: work,
+                prov_out: Some(cprov_path.display().to_string()),
+                ..Default::default()
+            },
         },
         &mut out,
     )
@@ -96,10 +95,11 @@ fn cli_reference(dir: &Path, name: &str, text: &str, budget: f64, work: Option<u
             subsumed: false,
             wildcard: false,
             emit: Some(asm_path.display().to_string()),
-            check: false,
-            trace_out: None,
-            work_budget: work,
-            prov_out: Some(kprov_path.display().to_string()),
+            flags: isax_cli::PipelineFlags {
+                work_budget: work,
+                prov_out: Some(kprov_path.display().to_string()),
+                ..Default::default()
+            },
         },
         &mut out,
     )
@@ -441,40 +441,53 @@ fn budget_exhausted_requests_degrade_like_the_cli() {
 }
 
 /// The cache keys on the guard a request actually runs under, which
-/// includes the server's `ISAX_BUDGET` / `ISAX_DEADLINE_MS` environment,
-/// and never replays a deadline-shaped result. Every test in this
-/// binary holds `TEST_LOCK`, so the environment edits here are seen by
-/// this test's server only.
+/// includes the budget and deadline of the server's shared context, and
+/// never replays a deadline-shaped result.
 #[test]
 fn env_governed_results_are_keyed_by_their_guard_and_deadlines_never_cached() {
     let _guard = TEST_LOCK.lock().unwrap();
     let w = isax_workloads::by_name("crc").unwrap();
     let text = program_text(&w.program);
-    let server = Server::spawn(ServeConfig {
-        workers: 1,
-        stats: EnvMode::Off,
-        ..ServeConfig::default()
-    })
-    .expect("server spawns");
-    let mut client = Client::connect(server.addr()).unwrap();
+    let spawn = |run: isax::RunConfig| {
+        let cfg = ServeConfig {
+            workers: 1,
+            stats: EnvMode::Off,
+            ..ServeConfig::default()
+        };
+        let ctx = std::sync::Arc::new(isax::SharedContext::from_config(&run));
+        let server = Server::spawn_with_context(cfg, ctx).expect("server spawns");
+        let client = Client::connect(server.addr()).unwrap();
+        (server, client)
+    };
 
-    std::env::set_var("ISAX_BUDGET", "50");
-    let governed = client.artifacts(customize_request("crc", &text, None));
-    std::env::remove_var("ISAX_BUDGET");
-    let (_, governed) = governed.expect("env-governed customize succeeds");
-    assert!(!governed.degraded.is_empty(), "50 units cannot finish");
-    let (cached, full) = client
+    let (server, mut client) = spawn(isax::RunConfig {
+        work_budget: Some(50),
+        ..Default::default()
+    });
+    let (_, governed) = client
         .artifacts(customize_request("crc", &text, None))
-        .expect("ungoverned customize succeeds");
-    assert!(!cached, "an ungoverned run must not hit the budgeted entry");
+        .expect("context-governed customize succeeds");
+    assert!(!governed.degraded.is_empty(), "50 units cannot finish");
+    let (cached, explicit) = client
+        .artifacts(customize_request("crc", &text, Some(50)))
+        .expect("explicitly budgeted customize succeeds");
+    assert!(cached, "the same effective guard must hit the same entry");
+    assert_eq!(explicit.mdes, governed.mdes);
+    let (cached, full) = client
+        .artifacts(customize_request("crc", &text, Some(1 << 40)))
+        .expect("generously budgeted customize succeeds");
+    assert!(!cached, "a 2^40-unit run must not hit the 50-unit entry");
     assert!(full.degraded.is_empty(), "{:?}", full.degraded);
+    server.shutdown();
 
-    std::env::set_var("ISAX_DEADLINE_MS", "0");
-    let first = client.artifacts(customize_request("crc", &text, Some(1 << 40)));
-    let second = client.artifacts(customize_request("crc", &text, Some(1 << 40)));
-    std::env::remove_var("ISAX_DEADLINE_MS");
-    for (i, r) in [first, second].into_iter().enumerate() {
-        let (cached, art) = r.expect("deadline-governed customize succeeds");
+    let (server, mut client) = spawn(isax::RunConfig {
+        deadline_ms: Some(0),
+        ..Default::default()
+    });
+    for i in 0..2 {
+        let (cached, art) = client
+            .artifacts(customize_request("crc", &text, Some(1 << 40)))
+            .expect("deadline-governed customize succeeds");
         assert!(!cached, "request {i}: a deadline result was replayed");
         assert!(
             art.degraded.iter().any(|d| d.contains("deadline-expired")),

@@ -231,12 +231,10 @@ fn cli_trace_out_writes_a_valid_chrome_trace() {
         name: "crc".into(),
         out: Some(mdes_out.display().to_string()),
         multifunction: false,
-        check: false,
-        trace_out: Some(trace_out.display().to_string()),
-        work_budget: None,
-        prov_out: None,
-        beam_width: None,
-        width_aware: false,
+        flags: isax_cli::PipelineFlags {
+            trace_out: Some(trace_out.display().to_string()),
+            ..Default::default()
+        },
     };
     let mut out = Vec::new();
     isax_cli::execute(&cmd, &mut out).expect("customize succeeds");
