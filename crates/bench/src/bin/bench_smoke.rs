@@ -40,8 +40,7 @@ struct SmokeRun {
     examined: u64,
     per_kernel: BTreeMap<&'static str, (u64, u64)>,
     cycles: BTreeMap<&'static str, u64>,
-    degradations: Vec<String>,
-    prov: isax_prov::ProvLog,
+    report: isax::StageReport,
 }
 
 fn run_once(cz: &Customizer) -> SmokeRun {
@@ -51,25 +50,21 @@ fn run_once(cz: &Customizer) -> SmokeRun {
 
     let mut examined = 0u64;
     let mut per_kernel = BTreeMap::new();
-    let mut degradations = Vec::new();
-    let mut prov = isax_prov::ProvLog::default();
+    let mut report = isax::StageReport::default();
     for (&name, app) in &apps {
         let s = &app.analysis.stats;
         examined += s.examined;
         per_kernel.insert(name, (s.examined, s.recorded));
-        degradations.extend(app.analysis.degradations.iter().map(|d| d.to_string()));
-        prov.merge(app.analysis.prov.clone());
+        report.merge(app.analysis.report.clone());
     }
 
     let cycles = apps
         .iter()
         .map(|(&name, app)| {
             let (mdes, sel) = cz.select(name, &app.analysis, HEADLINE_BUDGET);
-            degradations.extend(sel.degradations.iter().map(|d| d.to_string()));
-            prov.merge(sel.prov.clone());
+            report.merge(sel.report);
             let ev = cz.evaluate(&app.workload.program, &mdes, MatchOptions::with_subsumed());
-            degradations.extend(ev.compiled.degradations.iter().map(|d| d.to_string()));
-            prov.merge(ev.compiled.prov.clone());
+            report.merge(ev.compiled.report);
             (name, ev.custom_cycles)
         })
         .collect();
@@ -79,8 +74,7 @@ fn run_once(cz: &Customizer) -> SmokeRun {
         examined,
         per_kernel,
         cycles,
-        degradations,
-        prov,
+        report,
     }
 }
 
@@ -108,12 +102,8 @@ fn main() {
         "per-kernel candidate counts diverged between 1 and 4 threads"
     );
     assert_eq!(
-        serial.degradations, parallel.degradations,
-        "degradation records diverged between 1 and 4 threads"
-    );
-    assert_eq!(
-        serial.prov, parallel.prov,
-        "provenance logs diverged between 1 and 4 threads"
+        serial.report, parallel.report,
+        "degradation records or provenance logs diverged between 1 and 4 threads"
     );
     let outputs_identical = true;
 

@@ -52,13 +52,11 @@ struct Counters {
     prefilter_skips: u64,
     matches_found: u64,
     replacements: u64,
-    // resource governance: rendered degradation records from every stage,
-    // in pipeline order. The stress corpus runs under a work-unit budget
-    // by construction, so these are non-empty on every run.
-    degradations: Vec<String>,
-    // decision provenance: per-stage logs merged in suite order. The
-    // merged log is part of the serial-vs-parallel identity contract.
-    prov: isax_prov::ProvLog,
+    // every stage's degradation records and provenance log, merged in
+    // pipeline order; part of the serial-vs-parallel identity contract.
+    // The stress corpus runs under a work-unit budget by construction, so
+    // the degradations are non-empty on every run.
+    report: isax::StageReport,
     // per-kernel attribution: (candidates examined, candidates recorded)
     // during analyze, so a timing regression names its workload.
     per_kernel: BTreeMap<String, (u64, u64)>,
@@ -91,10 +89,7 @@ fn run_once(corpus: &[BenchKernel]) -> (StageTimes, Counters) {
         counters
             .per_kernel
             .insert(k.name.clone(), (s.examined, s.recorded));
-        counters
-            .degradations
-            .extend(analysis.degradations.iter().map(|d| d.to_string()));
-        counters.prov.merge(analysis.prov.clone());
+        counters.report.merge(analysis.report.clone());
     }
 
     let t1 = Instant::now();
@@ -104,10 +99,7 @@ fn run_once(corpus: &[BenchKernel]) -> (StageTimes, Counters) {
         .map(|(k, (analysis, _))| {
             let cz = k.customizer();
             let (mdes, sel) = cz.select(&k.name, analysis, HEADLINE_BUDGET);
-            counters
-                .degradations
-                .extend(sel.degradations.iter().map(|d| d.to_string()));
-            counters.prov.merge(sel.prov.clone());
+            counters.report.merge(sel.report);
             mdes
         })
         .collect();
@@ -125,10 +117,7 @@ fn run_once(corpus: &[BenchKernel]) -> (StageTimes, Counters) {
         counters.prefilter_skips += m.prefilter_skips;
         counters.matches_found += m.matches_found;
         counters.replacements += ev.compiled.applied.len() as u64;
-        counters
-            .degradations
-            .extend(ev.compiled.degradations.iter().map(|d| d.to_string()));
-        counters.prov.merge(ev.compiled.prov.clone());
+        counters.report.merge(ev.compiled.report);
         cycles.insert(k.name.clone(), ev.custom_cycles);
         speedups.insert(k.name.clone(), ev.speedup);
     }
@@ -203,15 +192,9 @@ fn main() {
     );
 
     assert_eq!(
-        counters.degradations, parallel_counters.degradations,
-        "degradation records diverged between serial and parallel runs — \
-         the guard's deterministic-accounting contract is broken"
-    );
-
-    assert_eq!(
-        counters.prov, parallel_counters.prov,
-        "provenance logs diverged between serial and parallel runs — \
-         the join-point merge discipline is broken"
+        counters.report, parallel_counters.report,
+        "degradation records or provenance logs diverged between serial and \
+         parallel runs — the join-point merge discipline is broken"
     );
 
     let domain_of: BTreeMap<&str, &'static str> =
@@ -354,7 +337,10 @@ fn main() {
         ),
         // Aggregate decision provenance (identical between the serial
         // and parallel runs by the assert above).
-        ("provenance", isax_prov::summarize(&counters.prov).to_json()),
+        (
+            "provenance",
+            isax_prov::summarize(&counters.report.prov).to_json(),
+        ),
         (
             "custom_cycles",
             isax_json::Value::Object(
@@ -371,7 +357,7 @@ fn main() {
     // actually fired; the stress corpus's work-unit budget means it is
     // present on every extended-corpus run.
     let guard_active = isax::Customizer::new().guard.is_active();
-    if guard_active || !counters.degradations.is_empty() {
+    if guard_active || !counters.report.degradations.is_empty() {
         if let isax_json::Value::Object(fields) = &mut doc {
             fields.push((
                 "guard".into(),
@@ -381,9 +367,10 @@ fn main() {
                         "degradations",
                         isax_json::array(
                             counters
+                                .report
                                 .degradations
                                 .iter()
-                                .map(|d| isax_json::Value::from(d.as_str())),
+                                .map(|d| isax_json::Value::from(d.to_string())),
                         ),
                     ),
                 ]),

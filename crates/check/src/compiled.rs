@@ -64,7 +64,7 @@ pub fn check_compiled(
         }
     }
 
-    for d in &compiled.degradations {
+    for d in &compiled.report.degradations {
         if d.stage == Stage::Schedule && d.item as usize >= compiled.program.functions.len() {
             report.push(Diagnostic::error(
                 "IC0601",
@@ -195,6 +195,7 @@ fn check_schedules(
     // emitted with the deterministic sequential fallback; recompute that
     // instead of the list schedule so IC0406 compares like with like.
     let degraded = compiled
+        .report
         .degradations
         .iter()
         .any(|d| d.stage == Stage::Schedule && d.item as usize == fi);
@@ -488,6 +489,7 @@ mod tests {
             &Guard::unlimited().with_units(2),
         );
         assert!(compiled
+            .report
             .degradations
             .iter()
             .any(|d| d.stage == Stage::Schedule && d.item == 0));
@@ -498,13 +500,14 @@ mod tests {
     #[test]
     fn degradation_naming_a_missing_function_is_rejected() {
         let (p, mut compiled, mdes, hw, model) = compile_kernel();
-        compiled
-            .degradations
-            .push(isax_guard::Degradation::panicked(
-                Stage::Schedule,
-                7,
-                "phantom",
-            ));
+        compiled.report.degradations.push(isax_guard::Degradation {
+            stage: Stage::Schedule,
+            item: 7,
+            kind: isax_guard::DegradationKind::Panicked,
+            units_spent: 0,
+            limit: None,
+            detail: "phantom".into(),
+        });
         let report = check_compiled(&p, &compiled, &mdes, &hw, &model);
         assert!(report.has_code("IC0601"), "{report}");
     }

@@ -347,22 +347,10 @@ mod tests {
             isax_compiler::compile(&p, &mdes, &hw, &isax_compiler::CompileOptions::default());
 
         // Assemble the full log the way the CLI does: explore events,
-        // then the selection events (derived like core::selection_prov),
-        // then the compile events.
+        // then the selection events, then the compile events.
         let mut log = found.prov.clone();
-        for (i, sc) in sel.chosen.iter().enumerate() {
-            let c = &cfus[sc.candidate];
-            log.record(
-                c.fingerprint.0,
-                isax_prov::ProvEvent::SelectedAsCfu {
-                    cfu: i as u16,
-                    area: sc.charged_area,
-                    delay: c.delay,
-                    estimated_value: sc.estimated_value,
-                },
-            );
-        }
-        log.merge(compiled.prov.clone());
+        log.merge(isax_select::selection_prov(&cfus, &sel));
+        log.merge(compiled.report.prov.clone());
         assert!(!log.is_empty(), "recording was enabled");
 
         let doc = isax_prov::build_report("kern", &log);

@@ -973,7 +973,7 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
             let p = load_program(file)?;
             let (cz, sink, _recording) = pipeline(flags)?;
             let analysis = cz.analyze(&p);
-            report_degradations(out, &analysis.degradations)?;
+            report_degradations(out, &analysis.report.degradations)?;
             w(
                 out,
                 format!(
@@ -1012,7 +1012,7 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
                 out,
                 &sink,
                 &app_name(file),
-                &analysis.prov,
+                &analysis.report.prov,
                 cz.check,
                 None,
                 None,
@@ -1030,13 +1030,14 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
             let p = load_program(file)?;
             let (cz, sink, _recording) = pipeline(flags)?;
             let analysis = cz.analyze(&p);
-            report_degradations(out, &analysis.degradations)?;
             let (mdes, sel) = if *multifunction {
                 cz.select_multifunction(name, &analysis, *budget)
             } else {
                 cz.select(name, &analysis, *budget)
             };
-            report_degradations(out, &sel.degradations)?;
+            let mut report = analysis.report;
+            report.merge(sel.report);
+            report_degradations(out, &report.degradations)?;
             let json = mdes.to_json().map_err(|e| e.to_string())?;
             match out_path {
                 Some(path) => {
@@ -1052,9 +1053,7 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
                 }
                 None => w(out, json)?,
             }
-            let mut plog = analysis.prov.clone();
-            plog.merge(sel.prov.clone());
-            emit_prov(out, &sink, name, &plog, cz.check, Some(&mdes), None)?;
+            emit_prov(out, &sink, name, &report.prov, cz.check, Some(&mdes), None)?;
             Ok(())
         }
         Command::Lint { file } => {
@@ -1096,7 +1095,7 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
                 allow_subsumed: *subsumed,
             };
             let ev = cz.evaluate(&p, &mdes, matching);
-            report_degradations(out, &ev.compiled.degradations)?;
+            report_degradations(out, &ev.compiled.report.degradations)?;
             w(
                 out,
                 format!(
@@ -1129,7 +1128,7 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
                 out,
                 &sink,
                 &app_name(file),
-                &ev.compiled.prov,
+                &ev.compiled.report.prov,
                 cz.check,
                 Some(&mdes),
                 Some(&ev.compiled),

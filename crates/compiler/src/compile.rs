@@ -14,7 +14,7 @@ use crate::replace::{apply_matches, AppliedMatch};
 use crate::schedule::{
     function_cycles_metered, sequential_function_cycles, CustomInfo, CustomOpInfo, VliwModel,
 };
-use isax_guard::{Degradation, Guard, Stage};
+use isax_guard::{DegradationKind, Guard, Stage, StageReport};
 use isax_hwlib::HwLibrary;
 use isax_ir::{function_dfgs, Program};
 
@@ -48,16 +48,12 @@ pub struct CompiledProgram {
     /// Matcher work statistics, summed over all functions in input
     /// order (deterministic; see [`MatchStats`]).
     pub match_stats: MatchStats,
-    /// Governance events: every stage that returned a truncated-but-sound
-    /// partial result (budget/deadline exhaustion) or was replaced by a
-    /// fallback after a contained worker panic. Empty for runs that
-    /// neither hit a limit nor panicked.
-    pub degradations: Vec<Degradation>,
-    /// Provenance events (`Matched`/`Replaced`, keyed by the CFU
-    /// pattern's canonical fingerprint), non-empty only when
-    /// [`isax_prov::enabled`] is set. Collected per function in input
-    /// order, so the log is thread-count-invariant.
-    pub prov: isax_prov::ProvLog,
+    /// Match and schedule degradations (a truncated-but-sound match
+    /// set, or a function rescheduled sequentially) and the `Matched`/
+    /// `Replaced` provenance events keyed by the CFU pattern's canonical
+    /// fingerprint. Collected per function in input order, so the report
+    /// is thread-count-invariant.
+    pub report: StageReport,
 }
 
 impl CompiledProgram {
@@ -116,7 +112,7 @@ pub fn compile(
 /// * **schedule** exhaustion or a panic falls back to the deterministic
 ///   [`sequential_function_cycles`] schedule for the whole function;
 ///
-/// each event is recorded in [`CompiledProgram::degradations`].
+/// each event is recorded in [`CompiledProgram::report`].
 pub fn compile_guarded(
     program: &Program,
     mdes: &Mdes,
@@ -129,8 +125,7 @@ pub fn compile_guarded(
     let mut applied = Vec::new();
     let mut sem_base: u16 = 0;
     let mut match_stats = MatchStats::default();
-    let mut degradations: Vec<Degradation> = Vec::new();
-    let mut prov = isax_prov::ProvLog::default();
+    let mut report = StageReport::default();
     let prov_on = isax_prov::enabled();
     // Provenance keys CFUs by the canonical fingerprint of their pattern
     // — the same identity exploration and combination used — so a
@@ -148,7 +143,7 @@ pub fn compile_guarded(
         let (matches, f_stats, f_degr) =
             find_matches_guarded_with_stats(&dfgs, mdes, hw, &opts.matching, guard);
         match_stats.merge(&f_stats);
-        degradations.extend(f_degr.into_iter().map(|mut d| {
+        report.degradations.extend(f_degr.into_iter().map(|mut d| {
             d.detail = format!("fn {}: {}", f.name, d.detail);
             d
         }));
@@ -161,7 +156,7 @@ pub fn compile_guarded(
                 *counts.entry((m.cfu, m.block)).or_insert(0) += 1;
             }
             for ((cfu, block), count) in counts {
-                prov.record(
+                report.prov.record(
                     cfu_fps[cfu as usize],
                     isax_prov::ProvEvent::Matched {
                         function: f.name.clone(),
@@ -184,7 +179,7 @@ pub fn compile_guarded(
                 // software cost of the replaced operations.
                 let latency = u64::from(mdes.cfu(a.cfu).map(|c| c.latency).unwrap_or(1));
                 let cycles_after = dfgs[a.block].weight() * latency;
-                prov.record(
+                report.prov.record(
                     cfu_fps[a.cfu as usize],
                     isax_prov::ProvEvent::Replaced {
                         function: f.name.clone(),
@@ -225,43 +220,41 @@ pub fn compile_guarded(
     // whose meter exhausts, or whose worker panics, is rescheduled with
     // the sequential fallback.
     let _sched = isax_trace::span("compile.schedule");
+    let functions = &out_program.functions;
+    let (per_function, records) = guard.fan_out(
+        Stage::Schedule,
+        functions.len(),
+        |fi, meter| {
+            let f = &functions[fi];
+            let (c, per_block) = function_cycles_metered(f, hw, &custom_info, &opts.model, meter);
+            (c, per_block, allocate_registers(f).spilled.len())
+        },
+        |fi, _| {
+            format!(
+                "fn {}: list scheduler stopped; whole function rescheduled sequentially",
+                functions[fi].name
+            )
+        },
+    );
+    // A contained fault's record carries the panic text alone; name the
+    // function, as the stop records do.
+    report.degradations.extend(records.into_iter().map(|mut d| {
+        if matches!(
+            d.kind,
+            DegradationKind::Panicked | DegradationKind::Cancelled
+        ) {
+            d.detail = format!("fn {}: {}", functions[d.item as usize].name, d.detail);
+        }
+        d
+    }));
     let mut cycles = 0u64;
     let mut block_cycles = Vec::new();
     let mut spills = 0usize;
-    let per_function = isax_graph::par::par_try_map_indexed(out_program.functions.len(), |fi| {
-        let f = &out_program.functions[fi];
-        let mut meter = guard.meter(Stage::Schedule, fi as u64);
-        let (c, per_block, degraded) =
-            function_cycles_metered(f, hw, &custom_info, &opts.model, &mut meter);
-        let spilled = allocate_registers(f).spilled.len();
-        let degr = if degraded {
-            meter.degradation(format!(
-                "fn {}: list scheduler stopped; whole function rescheduled sequentially",
-                f.name
-            ))
-        } else {
-            None
-        };
-        (c, per_block, spilled, degr)
-    });
-    for (fi, r) in per_function.into_iter().enumerate() {
-        let (c, per_block, spilled) = match r {
-            Ok((c, per_block, spilled, degr)) => {
-                degradations.extend(degr);
-                (c, per_block, spilled)
-            }
-            Err(e) => {
-                let f = &out_program.functions[fi];
-                let detail = format!("fn {}: {}", f.name, e.message);
-                degradations.push(if e.cancelled {
-                    Degradation::cancelled(Stage::Schedule, fi as u64, detail)
-                } else {
-                    Degradation::panicked(Stage::Schedule, fi as u64, detail)
-                });
-                let (c, per_block) = sequential_function_cycles(f, hw, &custom_info);
-                (c, per_block, allocate_registers(f).spilled.len())
-            }
-        };
+    for (f, r) in functions.iter().zip(per_function) {
+        let (c, per_block, spilled) = r.unwrap_or_else(|| {
+            let (c, per_block) = sequential_function_cycles(f, hw, &custom_info);
+            (c, per_block, allocate_registers(f).spilled.len())
+        });
         cycles += c;
         block_cycles.push(per_block);
         spills += spilled;
@@ -274,8 +267,7 @@ pub fn compile_guarded(
         applied,
         spills,
         match_stats,
-        degradations,
-        prov,
+        report,
     }
 }
 
@@ -298,7 +290,7 @@ fn baseline_cycles_under(
         model: *model,
     };
     let out = compile_guarded(program, &Mdes::baseline(), hw, &opts, guard);
-    isax_guard::reraise_contained(&out.degradations);
+    isax_guard::reraise_contained(&out.report.degradations);
     out.cycles
 }
 
@@ -399,7 +391,7 @@ mod tests {
             &Guard::unlimited(),
         );
         assert_eq!(plain, guarded);
-        assert!(plain.degradations.is_empty());
+        assert!(plain.report.degradations.is_empty());
     }
 
     #[test]
@@ -413,6 +405,7 @@ mod tests {
             &Guard::unlimited().with_units(2),
         );
         let sched: Vec<_> = out
+            .report
             .degradations
             .iter()
             .filter(|d| d.stage == Stage::Schedule)
@@ -436,8 +429,8 @@ mod tests {
             nth: 0,
         });
         let out = compile_guarded(&p, &mdes, &hw(), &CompileOptions::default(), &guard);
-        assert_eq!(out.degradations.len(), 1);
-        let d = &out.degradations[0];
+        assert_eq!(out.report.degradations.len(), 1);
+        let d = &out.report.degradations[0];
         assert_eq!(d.stage, Stage::Schedule);
         assert_eq!(d.kind, DegradationKind::Panicked);
         assert!(d.detail.contains("injected panic"), "detail: {}", d.detail);
@@ -478,6 +471,7 @@ mod tests {
             &Guard::unlimited().with_units(1),
         );
         assert!(out
+            .report
             .degradations
             .iter()
             .any(|d| d.stage == Stage::Match && d.kind == DegradationKind::BudgetExhausted));

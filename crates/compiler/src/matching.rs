@@ -15,7 +15,7 @@
 //! port limits, and annotated with its estimated cycle savings.
 
 use crate::mdes::Mdes;
-use isax_graph::{canon, par, vf2, BitSet, DiGraph};
+use isax_graph::{canon, vf2, BitSet, DiGraph};
 use isax_guard::{Degradation, Guard, Meter, Stage};
 use isax_hwlib::HwLibrary;
 use isax_ir::{Dfg, DfgLabel};
@@ -271,44 +271,31 @@ pub fn find_matches_guarded_with_stats(
 ) -> (Vec<PatternMatch>, MatchStats, Vec<Degradation>) {
     let _span = isax_trace::span("compile.match");
     let ctx = MatchCtx::new(dfgs, mdes, hw, opts);
-    let per_job = par::par_try_map_indexed(ctx.jobs.len(), |ji| {
-        let (ci, block) = ctx.jobs[ji];
-        let mut meter = guard.meter(Stage::Match, ji as u64);
-        meter.touch();
-        let (out, job_stats) = ctx.run_job(ci, block, &mut meter);
-        // The detail string is built only for a meter that stopped.
-        let degradation = if meter.exhausted() {
-            meter.degradation(format!(
+    let (per_job, degradations) = guard.fan_out(
+        Stage::Match,
+        ctx.jobs.len(),
+        |ji, meter| {
+            let (ci, block) = ctx.jobs[ji];
+            meter.touch();
+            ctx.run_job(ci, block, meter)
+        },
+        |ji, (out, _)| {
+            let (ci, block) = ctx.jobs[ji];
+            format!(
                 "cfu {} in block {}: kept {} matches, then stopped enumerating embeddings",
                 ctx.mdes.cfus[ci].id,
                 block,
                 out.len(),
-            ))
-        } else {
-            None
-        };
-        (out, job_stats, degradation)
-    });
+            )
+        },
+    );
     // Join point: fold per-job results in input order (jobs is already
     // CFU-major serial order), keeping the totals deterministic.
     let mut stats = MatchStats::default();
     let mut matches = Vec::new();
-    let mut degradations = Vec::new();
-    for (ji, item) in per_job.into_iter().enumerate() {
-        match item {
-            Ok((out, job_stats, d)) => {
-                stats.merge(&job_stats);
-                matches.extend(out);
-                degradations.extend(d);
-            }
-            Err(e) => {
-                degradations.push(if e.cancelled {
-                    Degradation::cancelled(Stage::Match, ji as u64, e.message)
-                } else {
-                    Degradation::panicked(Stage::Match, ji as u64, e.message)
-                });
-            }
-        }
+    for (out, job_stats) in per_job.into_iter().flatten() {
+        stats.merge(&job_stats);
+        matches.extend(out);
     }
     isax_trace::counter("match.vf2_calls", stats.vf2_calls);
     isax_trace::counter("match.prefilter_skips", stats.prefilter_skips);

@@ -354,10 +354,10 @@ pub fn sequential_function_cycles(
 /// [`Meter`]: Σ blocks (schedule length × profile weight). This is the
 /// paper's performance metric; speedup is the ratio of two estimates.
 ///
-/// Degradation is at **function granularity**: if any block exhausts the
-/// meter, the whole function is recomputed with
-/// [`sequential_function_cycles`] and the third return value is `true`.
-/// This keeps the degraded output a pure function of the IR (independent
+/// Degradation is at **function granularity**: if the meter stops —
+/// in any block, or already on entry (an injected exhaustion) — the
+/// whole function is recomputed with [`sequential_function_cycles`], so
+/// `meter.exhausted()` tells the caller which estimate it got. This keeps the degraded output a pure function of the IR (independent
 /// of *where* in the function the budget ran dry mid-schedule), which is
 /// what lets `isax-check` verify it by exact recomputation.
 pub fn function_cycles_metered(
@@ -366,24 +366,23 @@ pub fn function_cycles_metered(
     custom: &CustomInfo,
     model: &VliwModel,
     meter: &mut Meter,
-) -> (u64, Vec<u32>, bool) {
+) -> (u64, Vec<u32>) {
     meter.touch();
     let dfgs = isax_ir::function_dfgs(f);
     let mut total = 0u64;
     let mut per_block = Vec::with_capacity(dfgs.len());
     for (bi, dfg) in dfgs.iter().enumerate() {
-        match schedule_block_metered(dfg, &f.blocks[bi].term, hw, custom, model, meter) {
-            Some(s) => {
-                per_block.push(s.cycles);
-                total += s.cycles as u64 * f.blocks[bi].weight;
-            }
-            None => {
-                let (t, pb) = sequential_function_cycles(f, hw, custom);
-                return (t, pb, true);
-            }
-        }
+        let Some(s) = schedule_block_metered(dfg, &f.blocks[bi].term, hw, custom, model, meter)
+        else {
+            break;
+        };
+        per_block.push(s.cycles);
+        total += s.cycles as u64 * f.blocks[bi].weight;
     }
-    (total, per_block, false)
+    if meter.exhausted() {
+        return sequential_function_cycles(f, hw, custom);
+    }
+    (total, per_block)
 }
 
 /// The terminator is not represented in the DFG; re-export of the type for
@@ -622,9 +621,9 @@ mod tests {
         fb.ret(&[z.into()]);
         let f = fb.finish();
         let mut meter = Meter::unlimited(Stage::Schedule, 0);
-        let (total, per_block, degraded) =
+        let (total, per_block) =
             function_cycles_metered(&f, &hw(), &none(), &VliwModel::default(), &mut meter);
-        assert!(!degraded);
+        assert!(!meter.exhausted());
         assert_eq!(per_block.len(), 3);
         assert_eq!(
             total,
@@ -720,19 +719,19 @@ mod tests {
         fb.ret(&[z.into()]);
         let f = fb.finish();
         let mut meter = Meter::with_limit(Stage::Schedule, 0, 3);
-        let (total, per_block, degraded) =
+        let (total, per_block) =
             function_cycles_metered(&f, &hw(), &none(), &VliwModel::default(), &mut meter);
-        assert!(degraded);
+        assert!(meter.exhausted());
         let (seq_total, seq_pb) = sequential_function_cycles(&f, &hw(), &none());
         assert_eq!((total, per_block), (seq_total, seq_pb));
         // Ample budget reproduces the unmetered result exactly.
         let mut wide = Meter::with_limit(Stage::Schedule, 0, 10_000);
-        let (t2, pb2, d2) =
+        let (t2, pb2) =
             function_cycles_metered(&f, &hw(), &none(), &VliwModel::default(), &mut wide);
         let mut unlimited = Meter::unlimited(Stage::Schedule, 0);
-        let (t0, pb0, d0) =
+        let (t0, pb0) =
             function_cycles_metered(&f, &hw(), &none(), &VliwModel::default(), &mut unlimited);
-        assert!(!d2 && !d0);
+        assert!(!wide.exhausted() && !unlimited.exhausted());
         assert_eq!((t2, pb2), (t0, pb0));
     }
 

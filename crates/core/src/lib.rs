@@ -66,6 +66,7 @@ pub use isax_compiler::{MatchMode, MatchOptions, Mdes, VliwModel};
 pub use isax_explore::ExploreConfig;
 pub use isax_guard::{
     reraise_contained, Budget, Degradation, DegradationKind, FaultKind, FaultPlan, Guard, Stage,
+    StageReport,
 };
 pub use isax_hwlib::HwLibrary;
 pub use isax_machine::SpeedupReport;

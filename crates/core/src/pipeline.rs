@@ -30,14 +30,13 @@ use isax_compiler::{
     VliwModel,
 };
 use isax_explore::{explore_app_guarded, Candidate, ExploreConfig, ExploreStats};
-use isax_graph::par;
-use isax_guard::{Budget, Degradation, FaultPlan, Guard, Stage};
+use isax_guard::{Budget, FaultPlan, Guard, Stage, StageReport};
 use isax_hwlib::HwLibrary;
 use isax_ir::dataflow::SolveStats;
 use isax_ir::{function_dfgs, Dfg, Program};
 use isax_select::{
     combine, find_wildcard_partners, mark_subsumptions, select_greedy_metered, select_knapsack,
-    select_multifunction, CfuCandidate, SelectConfig, Selection,
+    select_multifunction, selection_prov, CfuCandidate, SelectConfig, Selection,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -181,12 +180,9 @@ pub struct Analysis {
     pub cfus: Vec<CfuCandidate>,
     /// Exploration statistics (Figure 3 material).
     pub stats: ExploreStats,
-    /// Governance events from exploration: per-DFG budget exhaustions
-    /// and contained worker panics. Empty when the guard is inactive.
-    pub degradations: Vec<Degradation>,
-    /// Provenance events from exploration (`Discovered`/`Pruned`),
-    /// non-empty only when [`isax_prov::enabled`] was set.
-    pub prov: isax_prov::ProvLog,
+    /// Exploration's per-DFG budget exhaustions and contained worker
+    /// panics, and its `Discovered`/`Pruned` provenance events.
+    pub report: StageReport,
     /// Dataflow solver and lint counters from the analysis stage.
     pub analysis_stats: AnalysisStats,
     /// Lint findings (`IC08xx` warnings) over the whole program.
@@ -204,46 +200,6 @@ pub struct Evaluation {
     pub speedup: f64,
     /// The compiled program (customized code, semantics, statistics).
     pub compiled: CompiledProgram,
-}
-
-/// Derives the select-stage provenance events from a finished selection:
-/// one `SelectedAsCfu` per chosen unit (in priority order, so the MDES id
-/// is the position), then the subsumption/wildcard structure each chosen
-/// unit carries. Runs *after* the selection algorithm, purely from its
-/// output, so recording can never influence what gets selected.
-fn selection_prov(cfus: &[CfuCandidate], sel: &mut Selection) {
-    if !isax_prov::enabled() {
-        return;
-    }
-    let mut log = isax_prov::ProvLog::default();
-    for (i, sc) in sel.chosen.iter().enumerate() {
-        let c = &cfus[sc.candidate];
-        log.record(
-            c.fingerprint.0,
-            isax_prov::ProvEvent::SelectedAsCfu {
-                cfu: i as u16,
-                area: sc.charged_area,
-                delay: c.delay,
-                estimated_value: sc.estimated_value,
-            },
-        );
-    }
-    for (i, sc) in sel.chosen.iter().enumerate() {
-        let c = &cfus[sc.candidate];
-        for &j in &c.subsumes {
-            log.record(
-                cfus[j].fingerprint.0,
-                isax_prov::ProvEvent::SubsumedBy { cfu: i as u16 },
-            );
-        }
-        for &j in &c.wildcard_partners {
-            log.record(
-                cfus[j].fingerprint.0,
-                isax_prov::ProvEvent::Wildcarded { partner: i as u16 },
-            );
-        }
-    }
-    sel.prov = log;
 }
 
 impl Customizer {
@@ -347,9 +303,11 @@ impl Customizer {
             let _s = isax_trace::span("analyze.explore");
             explore_app_guarded(&dfgs, &self.hw, &self.explore, &self.guard)
         };
-        if self.guard.is_active() {
-            isax_trace::counter("guard.explore_degradations", degradations.len() as u64);
-        }
+        let report = StageReport {
+            degradations,
+            prov: result.prov,
+        };
+        self.count_degradations("guard.explore_degradations", &report);
         // Exploration statistics are merged across DFGs in input order
         // (see `ExploreStats::merge`), so these counters are identical
         // run-to-run regardless of thread count.
@@ -376,8 +334,7 @@ impl Customizer {
             raw_candidates: result.candidates,
             cfus,
             stats: result.stats,
-            degradations,
-            prov: result.prov,
+            report,
             analysis_stats,
             lint_report,
         };
@@ -412,52 +369,59 @@ impl Customizer {
     /// candidate evaluation) and inside a panic trap: exhaustion keeps the
     /// CFUs chosen so far (a sound prefix of the unlimited order), a
     /// contained panic yields an empty selection. Both are recorded in
-    /// [`Selection::degradations`].
+    /// [`Selection::report`].
     pub fn select(&self, app_name: &str, analysis: &Analysis, budget: f64) -> (Mdes, Selection) {
         let _stage = isax_trace::span("pipeline.select");
-        let mut sel = {
+        let sel = {
             let _s = isax_trace::span("select.greedy");
             let cfg = SelectConfig::with_budget(budget);
             // A fan-out of one item runs inline, inside the same panic
             // trap as every other stage.
-            let trapped = par::par_try_map_indexed(1, |_| {
-                let mut meter = self.guard.meter(Stage::Select, 0);
-                let mut sel = select_greedy_metered(&analysis.cfus, &cfg, &mut meter);
-                if meter.exhausted() {
-                    sel.degradations.extend(meter.degradation(format!(
+            let (mut trapped, degradations) = self.guard.fan_out(
+                Stage::Select,
+                1,
+                |_, meter| select_greedy_metered(&analysis.cfus, &cfg, meter),
+                |_, sel| {
+                    format!(
                         "kept {} CFUs chosen before the greedy scan stopped",
                         sel.chosen.len()
-                    )));
-                }
-                sel
-            });
-            match trapped.into_iter().next().expect("one item in, one out") {
-                Ok(sel) => sel,
-                Err(e) => {
-                    let mut sel = Selection::default();
-                    sel.degradations
-                        .push(Degradation::panicked(Stage::Select, 0, e.message));
-                    sel
-                }
-            }
+                    )
+                },
+            );
+            let mut sel = trapped.pop().flatten().unwrap_or_default();
+            sel.report.degradations = degradations;
+            sel
         };
-        if self.guard.is_active() {
-            isax_trace::counter("guard.select_degradations", sel.degradations.len() as u64);
-        }
-        selection_prov(&analysis.cfus, &mut sel);
+        self.count_degradations("guard.select_degradations", &sel.report);
+        self.finish_selection(app_name, analysis, sel)
+    }
+
+    /// The tail every selection variant shares: derives the select-stage
+    /// provenance, emits the MDES, and at the checkpoint checks that the
+    /// MDES is legal for the machine and that the selection refers into
+    /// the analysis.
+    fn finish_selection(
+        &self,
+        app_name: &str,
+        analysis: &Analysis,
+        mut sel: Selection,
+    ) -> (Mdes, Selection) {
+        sel.report.prov = selection_prov(&analysis.cfus, &sel);
         let mdes = Mdes::from_selection(app_name, &analysis.cfus, &sel, &self.hw, self.closure_cap);
         isax_trace::counter("select.cfus_selected", mdes.cfus.len() as u64);
-        self.check_selected(analysis, &mdes, &sel);
+        if self.check {
+            let mut report = isax_check::check_mdes(&mdes, &self.hw);
+            report.merge(isax_check::check_selection(&analysis.cfus, &sel));
+            isax_check::enforce("select", &report);
+        }
         (mdes, sel)
     }
 
-    /// Checkpoint after any selection variant: the MDES must be legal
-    /// for the machine and the selection must refer into the analysis.
-    fn check_selected(&self, analysis: &Analysis, mdes: &Mdes, sel: &Selection) {
-        if self.check {
-            let mut report = isax_check::check_mdes(mdes, &self.hw);
-            report.merge(isax_check::check_selection(&analysis.cfus, sel));
-            isax_check::enforce("select", &report);
+    /// Publishes one stage's `guard.<stage>_degradations` trace counter.
+    /// Only an active guard emits it, so default-run traces are unchanged.
+    fn count_degradations(&self, counter: &'static str, report: &StageReport) {
+        if self.guard.is_active() {
+            isax_trace::counter(counter, report.degradations.len() as u64);
         }
     }
 
@@ -467,15 +431,11 @@ impl Customizer {
     /// not part of the governed default pipeline.
     pub fn select_dp(&self, app_name: &str, analysis: &Analysis, budget: f64) -> (Mdes, Selection) {
         let _stage = isax_trace::span("pipeline.select");
-        let mut sel = {
+        let sel = {
             let _s = isax_trace::span("select.knapsack");
             select_knapsack(&analysis.cfus, &SelectConfig::with_budget(budget))
         };
-        selection_prov(&analysis.cfus, &mut sel);
-        let mdes = Mdes::from_selection(app_name, &analysis.cfus, &sel, &self.hw, self.closure_cap);
-        isax_trace::counter("select.cfus_selected", mdes.cfus.len() as u64);
-        self.check_selected(analysis, &mdes, &sel);
-        (mdes, sel)
+        self.finish_selection(app_name, analysis, sel)
     }
 
     /// Selection with multifunction CFUs: wildcard-partner families are
@@ -488,21 +448,22 @@ impl Customizer {
         budget: f64,
     ) -> (Mdes, Selection) {
         let _stage = isax_trace::span("pipeline.select");
-        let mut sel = {
+        let sel = {
             let _s = isax_trace::span("select.multifunction");
             select_multifunction(&analysis.cfus, &SelectConfig::with_budget(budget))
         };
-        selection_prov(&analysis.cfus, &mut sel);
-        let mdes = Mdes::from_selection(app_name, &analysis.cfus, &sel, &self.hw, self.closure_cap);
-        isax_trace::counter("select.cfus_selected", mdes.cfus.len() as u64);
-        self.check_selected(analysis, &mdes, &sel);
-        (mdes, sel)
+        self.finish_selection(app_name, analysis, sel)
     }
 
-    /// One-shot: analyze + select at a budget.
+    /// One-shot: analyze + select at a budget. The returned selection's
+    /// report holds the analysis stage's records, then the select
+    /// stage's.
     pub fn customize(&self, app_name: &str, program: &Program, budget: f64) -> (Mdes, Selection) {
         let analysis = self.analyze(program);
-        self.select(app_name, &analysis, budget)
+        let (mdes, sel) = self.select(app_name, &analysis, budget);
+        let mut report = analysis.report;
+        report.merge(sel.report);
+        (mdes, Selection { report, ..sel })
     }
 
     /// Compiles `program` against `mdes` and reports cycles/speedup.
@@ -529,12 +490,7 @@ impl Customizer {
             )
         };
         isax_trace::counter("compile.replacements", compiled.applied.len() as u64);
-        if self.guard.is_active() {
-            isax_trace::counter(
-                "guard.compile_degradations",
-                compiled.degradations.len() as u64,
-            );
-        }
+        self.count_degradations("guard.compile_degradations", &compiled.report);
         if self.check {
             let _s = isax_trace::span("evaluate.check");
             let report =
@@ -626,7 +582,7 @@ mod tests {
         cz.guard = Guard::unlimited().with_units(10);
         let analysis = cz.analyze(&p);
         assert!(
-            !analysis.degradations.is_empty(),
+            !analysis.report.degradations.is_empty(),
             "10 units cannot finish exploration of the kernel"
         );
         let (mdes, _sel) = cz.select("kern", &analysis, 15.0);
@@ -651,17 +607,45 @@ mod tests {
         });
         let analysis = cz.analyze(&p);
         assert!(
-            analysis.degradations.is_empty(),
+            analysis.report.degradations.is_empty(),
             "fault targets select only"
         );
         let (mdes, sel) = cz.select("kern", &analysis, 15.0);
         assert!(sel.chosen.is_empty());
-        assert_eq!(sel.degradations.len(), 1);
-        assert_eq!(sel.degradations[0].kind, DegradationKind::Panicked);
+        assert_eq!(sel.report.degradations.len(), 1);
+        assert_eq!(sel.report.degradations[0].kind, DegradationKind::Panicked);
         assert!(mdes.cfus.is_empty());
         // Downstream still produces a valid (baseline-equal) program.
         let ev = cz.evaluate(&p, &mdes, MatchOptions::exact());
         assert_eq!(ev.baseline_cycles, ev.custom_cycles);
+    }
+
+    #[test]
+    fn customize_keeps_the_analysis_records_ahead_of_the_select_records() {
+        use isax_guard::{DegradationKind, FaultPlan};
+        let p = crypto_kernel();
+        let mut cz = Customizer::new();
+        cz.guard = Guard::unlimited().with_fault(FaultPlan::parse("explore:panic:0").unwrap());
+        let (_, sel) = cz.customize("kern", &p, 15.0);
+        let first = sel
+            .report
+            .degradations
+            .first()
+            .expect("the explore panic is reported");
+        assert_eq!(first.stage, Stage::Explore);
+        assert_eq!(first.kind, DegradationKind::Panicked);
+        // A truncated exploration and a forced select exhaustion: both
+        // stages report, in pipeline order.
+        cz.guard = Guard::unlimited()
+            .with_units(10)
+            .with_fault(FaultPlan::parse("select:exhaust:0").unwrap());
+        let (_, sel) = cz.customize("kern", &p, 15.0);
+        let stages: Vec<Stage> = sel.report.degradations.iter().map(|d| d.stage).collect();
+        assert!(
+            stages.contains(&Stage::Explore) && stages.contains(&Stage::Select),
+            "{stages:?}"
+        );
+        assert!(stages.windows(2).all(|w| w[0] <= w[1]), "{stages:?}");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::candidate::{extract_pattern, Candidate, ExploreResult};
 use crate::config::ExploreConfig;
 use crate::guide::{score, CandidateMetrics, GuideScore};
-use isax_graph::{canon, par, BitSet, Fingerprint};
+use isax_graph::{canon, BitSet, Fingerprint};
 use isax_guard::{Degradation, Guard, Meter, Stage};
 use isax_hwlib::HwLibrary;
 use isax_ir::{Dfg, SlackInfo};
@@ -473,8 +473,8 @@ pub fn explore_app(dfgs: &[Dfg], hw: &HwLibrary, cfg: &ExploreConfig) -> Explore
 /// truncation or contained fault comes back as a [`Degradation`] record
 /// aggregated in DFG order.
 ///
-/// DFGs are independent, so they are explored in parallel (see
-/// [`isax_graph::par`]); results are merged in DFG index order, so the
+/// DFGs are independent, so they are explored in parallel through
+/// [`Guard::fan_out`]; results are merged in DFG index order, so the
 /// output is identical to the serial loop for any thread count. Under
 /// [`Guard::unlimited`] no meter ever stops, so the only degradations
 /// are contained panics.
@@ -484,43 +484,32 @@ pub fn explore_app_guarded(
     cfg: &ExploreConfig,
     guard: &Guard,
 ) -> (ExploreResult, Vec<Degradation>) {
-    let per_dfg = par::par_try_map_indexed(dfgs.len(), |i| {
-        let _s = isax_trace::span("explore.dfg");
-        let mut meter = guard.meter(Stage::Explore, i as u64);
-        let mut r = explore_dfg_metered(&dfgs[i], hw, cfg, &mut meter);
-        for c in &mut r.candidates {
-            c.dfg = i;
-        }
-        r.prov.set_dfg(i);
-        // The detail string is built only for a meter that stopped.
-        let degradation = if meter.exhausted() {
-            meter.degradation(format!(
+    let (per_dfg, degradations) = guard.fan_out(
+        Stage::Explore,
+        dfgs.len(),
+        |i, meter| {
+            let _s = isax_trace::span("explore.dfg");
+            let mut r = explore_dfg_metered(&dfgs[i], hw, cfg, meter);
+            for c in &mut r.candidates {
+                c.dfg = i;
+            }
+            r.prov.set_dfg(i);
+            r
+        },
+        |i, r| {
+            format!(
                 "kept {} candidates from {} examined in dfg {}",
                 r.candidates.len(),
                 r.stats.examined,
                 i
-            ))
-        } else {
-            None
-        };
-        (r, degradation)
-    });
+            )
+        },
+    );
     let mut out = ExploreResult::default();
-    let mut degradations = Vec::new();
-    for (i, item) in per_dfg.into_iter().enumerate() {
+    for item in per_dfg {
         match item {
-            Ok((r, d)) => {
-                out.merge(r);
-                degradations.extend(d);
-            }
-            Err(e) => {
-                out.stats.truncated = true;
-                degradations.push(if e.cancelled {
-                    Degradation::cancelled(Stage::Explore, i as u64, e.message)
-                } else {
-                    Degradation::panicked(Stage::Explore, i as u64, e.message)
-                });
-            }
+            Some(r) => out.merge(r),
+            None => out.stats.truncated = true,
         }
     }
     (out, degradations)

@@ -119,16 +119,6 @@ pub struct ParError {
     pub cancelled: bool,
 }
 
-impl std::fmt::Display for ParError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.cancelled {
-            write!(f, "item {} cancelled: {}", self.index, self.message)
-        } else {
-            write!(f, "item {} panicked: {}", self.index, self.message)
-        }
-    }
-}
-
 /// Best-effort text of a panic payload.
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -148,8 +138,8 @@ fn cancelled_error(index: usize) -> ParError {
     }
 }
 
-/// Panic-isolating variant of [`par_map_indexed`], used by the pipeline
-/// stages.
+/// Panic-isolating variant of [`par_map_indexed`], behind every pipeline
+/// stage's governed fan-out (`isax_guard::Guard::fan_out`).
 ///
 /// Each worker closure runs under [`catch_unwind`]; a panicking item
 /// becomes a per-item [`ParError`] at the join point instead of

@@ -25,6 +25,10 @@
 //!   compiled-in, inert-unless-set fault-injection hook that lets tests
 //!   drive every degradation path end to end.
 //!
+//! * Every stage runs its items through [`Guard::fan_out`], which
+//!   meters each item, contains worker panics and returns the records in
+//!   item order; a stage result carries them in a [`StageReport`].
+//!
 //! Each stage has one implementation, the metered one. With no budget,
 //! no deadline, and no fault configured the [`Guard`] is unlimited: its
 //! meters never stop, so the artifacts are those of an ungoverned run,
@@ -34,6 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use isax_graph::par::par_try_map_indexed;
+use isax_prov::ProvLog;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -275,6 +281,50 @@ impl Guard {
             deadline_at: self.budget.deadline.map(|d| self.started + d),
         }
     }
+
+    /// Runs `work` over items `0..n` of `stage` in parallel
+    /// ([`par_try_map_indexed`]), each under its own meter. Returns each
+    /// item's value — `None` where its worker panicked or was cancelled —
+    /// and the stage's records in item order: a stop record, detailed by
+    /// `stopped`, per item whose meter stopped, and a `panicked` or
+    /// `cancelled` record per contained fault. This is the only place a
+    /// contained fault becomes a [`Degradation`].
+    pub fn fan_out<T: Send>(
+        &self,
+        stage: Stage,
+        n: usize,
+        work: impl Fn(usize, &mut Meter) -> T + Sync,
+        stopped: impl Fn(usize, &T) -> String + Sync,
+    ) -> (Vec<Option<T>>, Vec<Degradation>) {
+        let results = par_try_map_indexed(n, |i| {
+            let mut meter = self.meter(stage, i as u64);
+            let value = work(i, &mut meter);
+            // The detail string is built only for a meter that stopped.
+            let stop = meter
+                .exhausted()
+                .then(|| meter.degradation(stopped(i, &value)));
+            (value, stop.flatten())
+        });
+        let mut records = Vec::new();
+        let values = results
+            .into_iter()
+            .map(|r| match r {
+                Ok((value, stop)) => {
+                    records.extend(stop);
+                    Some(value)
+                }
+                Err(e) if e.cancelled => {
+                    records.push(Degradation::cancelled(stage, e.index as u64, e.message));
+                    None
+                }
+                Err(e) => {
+                    records.push(Degradation::panicked(stage, e.index as u64, e.message));
+                    None
+                }
+            })
+            .collect();
+        (values, records)
+    }
 }
 
 /// A work-unit meter for one (stage, item) pair.
@@ -476,7 +526,7 @@ impl fmt::Display for DegradationKind {
 }
 
 /// A structured record of one stage returning less than it was asked
-/// for. Degradations ride on `CompiledProgram`/`Analysis`/`Selection`,
+/// for. Degradations ride in each stage result's [`StageReport`],
 /// surface in `BENCH_pipeline.json`, and are printed by the CLI. They
 /// trip `isax-check` only if the partial result is *unsound* — never
 /// merely incomplete.
@@ -498,7 +548,7 @@ pub struct Degradation {
 
 impl Degradation {
     /// Record for a contained worker panic.
-    pub fn panicked(stage: Stage, item: u64, message: impl Into<String>) -> Degradation {
+    pub(crate) fn panicked(stage: Stage, item: u64, message: impl Into<String>) -> Degradation {
         Degradation {
             stage,
             item,
@@ -510,7 +560,7 @@ impl Degradation {
     }
 
     /// Record for an item cancelled after a sibling's panic.
-    pub fn cancelled(stage: Stage, item: u64, message: impl Into<String>) -> Degradation {
+    pub(crate) fn cancelled(stage: Stage, item: u64, message: impl Into<String>) -> Degradation {
         Degradation {
             stage,
             item,
@@ -519,6 +569,25 @@ impl Degradation {
             limit: None,
             detail: message.into(),
         }
+    }
+}
+
+/// What a stage result reports besides the result itself, in item
+/// order. `Analysis`, `Selection` and `CompiledProgram` each carry one;
+/// callers merge several stages' reports in pipeline order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StageReport {
+    /// Truncations and contained faults; empty when neither happened.
+    pub degradations: Vec<Degradation>,
+    /// Provenance events, recorded only when [`isax_prov::enabled`].
+    pub prov: ProvLog,
+}
+
+impl StageReport {
+    /// Appends `other`'s records and events after this report's.
+    pub fn merge(&mut self, other: StageReport) {
+        self.degradations.extend(other.degradations);
+        self.prov.merge(other.prov);
     }
 }
 
@@ -703,6 +772,100 @@ mod tests {
         let msg = payload.downcast_ref::<String>().unwrap();
         assert!(msg.starts_with("explore[item 1]: panicked"), "got: {msg}");
         assert!(msg.ends_with(": boom"), "got: {msg}");
+    }
+
+    /// Item `i` charges `i` units one at a time, so under a 2-unit
+    /// budget items 3 and up stop; the value is the units spent.
+    fn charge_index(i: usize, meter: &mut Meter) -> u64 {
+        for _ in 0..i {
+            if !meter.charge(1) {
+                break;
+            }
+        }
+        meter.spent()
+    }
+
+    #[test]
+    fn fan_out_records_come_back_in_item_order_at_any_thread_count() {
+        let guard = Guard::unlimited()
+            .with_units(2)
+            .with_fault(FaultPlan::parse("match:panic:5").unwrap());
+        let run = |threads| {
+            isax_graph::par::set_thread_override(Some(threads));
+            let out = guard.fan_out(Stage::Match, 6, charge_index, |i, spent| {
+                format!("item {i} kept {spent} units")
+            });
+            isax_graph::par::set_thread_override(None);
+            out
+        };
+        let (values, records) = run(1);
+        assert_eq!(
+            values,
+            vec![Some(0), Some(1), Some(2), Some(2), Some(2), None]
+        );
+        let summary: Vec<_> = records.iter().map(|d| (d.item, d.kind)).collect();
+        assert_eq!(
+            summary,
+            [
+                (3, DegradationKind::BudgetExhausted),
+                (4, DegradationKind::BudgetExhausted),
+                (5, DegradationKind::Panicked),
+            ]
+        );
+        assert_eq!(records[0].detail, "item 3 kept 2 units");
+        assert!(records[2].detail.contains("injected panic"));
+        // The panic hits the last item, so no item is left to cancel and
+        // every record is deterministic.
+        assert_eq!(run(4), (values, records));
+    }
+
+    #[test]
+    fn fan_out_cancels_the_items_queued_after_a_panic() {
+        let guard = Guard::unlimited().with_fault(FaultPlan::parse("explore:panic:1").unwrap());
+        for threads in [1, 4] {
+            isax_graph::par::set_thread_override(Some(threads));
+            let (values, records) =
+                guard.fan_out(Stage::Explore, 8, charge_index, |_, _| unreachable!());
+            isax_graph::par::set_thread_override(None);
+            // Item 0 is claimed before the panicking item 1, so it always
+            // finishes; which later items were still queued depends on
+            // scheduling, but each one is either a value or a cancellation.
+            assert_eq!(values[0], Some(0));
+            assert_eq!(values[1], None);
+            assert_eq!(
+                (records[0].item, records[0].kind),
+                (1, DegradationKind::Panicked)
+            );
+            assert!(records.windows(2).all(|w| w[0].item < w[1].item));
+            for d in &records[1..] {
+                assert_eq!(d.kind, DegradationKind::Cancelled);
+                assert_eq!(values[d.item as usize], None);
+            }
+            let dropped = values.iter().filter(|v| v.is_none()).count();
+            assert_eq!(dropped, records.len(), "one record per dropped item");
+            if threads == 1 {
+                assert_eq!(records.len(), 7, "serially, every later item is cancelled");
+            }
+        }
+    }
+
+    #[test]
+    fn stage_reports_merge_in_order() {
+        let mut a = StageReport::default();
+        a.degradations
+            .push(Degradation::panicked(Stage::Explore, 0, "a"));
+        a.prov
+            .record(1, isax_prov::ProvEvent::Wildcarded { partner: 0 });
+        let mut b = StageReport::default();
+        b.degradations
+            .push(Degradation::panicked(Stage::Select, 0, "b"));
+        b.prov
+            .record(2, isax_prov::ProvEvent::Wildcarded { partner: 1 });
+        a.merge(b);
+        let stages: Vec<_> = a.degradations.iter().map(|d| d.stage).collect();
+        assert_eq!(stages, [Stage::Explore, Stage::Select]);
+        let fps: Vec<_> = a.prov.events().iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(fps, [1, 2]);
     }
 
     #[test]

@@ -77,15 +77,13 @@ pub struct Selection {
     pub total_area: f64,
     /// Total estimated cycles saved.
     pub total_value: u64,
-    /// Resource-governance records: non-empty iff the selection was cut
-    /// short by a work budget or a contained fault. The chosen list is
-    /// then a sound prefix of the ungoverned greedy order.
-    pub degradations: Vec<isax_guard::Degradation>,
-    /// Provenance events (`SelectedAsCfu`/`SubsumedBy`/`Wildcarded`),
-    /// non-empty only when [`isax_prov::enabled`] is set. Derived from
-    /// the chosen list by `Customizer::select`, after the algorithm runs,
-    /// so recording can never influence the selection.
-    pub prov: isax_prov::ProvLog,
+    /// Degradation records — non-empty iff the selection was cut short
+    /// by a work budget or a contained fault, and the chosen list is then
+    /// a sound prefix of the ungoverned greedy order — and the
+    /// [`selection_prov`] events, which every `Customizer::select*`
+    /// variant derives after the algorithm runs, so recording can never
+    /// influence the selection.
+    pub report: isax_guard::StageReport,
 }
 
 impl Selection {
@@ -93,6 +91,47 @@ impl Selection {
     pub fn candidate_indices(&self) -> Vec<usize> {
         self.chosen.iter().map(|c| c.candidate).collect()
     }
+}
+
+/// Derives the select-stage provenance events from a finished selection:
+/// one `SelectedAsCfu` per chosen unit (in priority order, so the MDES id
+/// is the position), then the subsumption/wildcard structure each chosen
+/// unit carries. Reads only the selection's output, so recording can
+/// never influence what gets selected. Empty unless
+/// [`isax_prov::enabled`] is set.
+pub fn selection_prov(cfus: &[CfuCandidate], sel: &Selection) -> isax_prov::ProvLog {
+    let mut log = isax_prov::ProvLog::default();
+    if !isax_prov::enabled() {
+        return log;
+    }
+    for (i, sc) in sel.chosen.iter().enumerate() {
+        let c = &cfus[sc.candidate];
+        log.record(
+            c.fingerprint.0,
+            isax_prov::ProvEvent::SelectedAsCfu {
+                cfu: i as u16,
+                area: sc.charged_area,
+                delay: c.delay,
+                estimated_value: sc.estimated_value,
+            },
+        );
+    }
+    for (i, sc) in sel.chosen.iter().enumerate() {
+        let c = &cfus[sc.candidate];
+        for &j in &c.subsumes {
+            log.record(
+                cfus[j].fingerprint.0,
+                isax_prov::ProvEvent::SubsumedBy { cfu: i as u16 },
+            );
+        }
+        for &j in &c.wildcard_partners {
+            log.record(
+                cfus[j].fingerprint.0,
+                isax_prov::ProvEvent::Wildcarded { partner: i as u16 },
+            );
+        }
+    }
+    log
 }
 
 /// Floor on any candidate's cost, so zero-area patterns (pure wiring)
@@ -300,7 +339,7 @@ mod tests {
         let cfg = SelectConfig::with_budget(100.0);
         let full = select_greedy(&cands, &cfg);
         assert_eq!(full.chosen.len(), 6);
-        assert!(full.degradations.is_empty());
+        assert!(full.report.degradations.is_empty());
         // One full round over 6 candidates costs 6 units; allow two
         // complete rounds, then exhaust during the third.
         let mut meter = isax_guard::Meter::with_limit(isax_guard::Stage::Select, 0, 13);

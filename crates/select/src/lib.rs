@@ -51,7 +51,8 @@ pub mod wildcard;
 
 pub use combine::{combine, pattern_fingerprint, patterns_equivalent, CfuCandidate, Occurrence};
 pub use greedy::{
-    select_greedy, select_greedy_metered, Objective, SelectConfig, SelectedCfu, Selection,
+    select_greedy, select_greedy_metered, selection_prov, Objective, SelectConfig, SelectedCfu,
+    Selection,
 };
 pub use knapsack::select_knapsack;
 pub use multifunction::{select_multifunction, wildcard_families};

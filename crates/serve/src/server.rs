@@ -29,7 +29,7 @@ use crate::protocol::{
     Response, WireError, MAX_FRAME_BYTES,
 };
 use crate::telemetry::{access_mode, request_id, AccessLog, AccessRecord, HistSet, ServeMetrics};
-use isax::{Customizer, Degradation, MatchMode, MatchOptions, Mdes, SharedContext};
+use isax::{Customizer, MatchMode, MatchOptions, Mdes, SharedContext, StageReport};
 use isax_json::{object, Value};
 use isax_trace::{EnvMode, Expo, Section};
 use std::collections::{BTreeMap, VecDeque};
@@ -404,18 +404,31 @@ impl Shared {
         cz
     }
 
-    /// Caches `artifacts` under `key` and returns them, unless one of
-    /// `degradations` is not
+    /// Completes `artifacts` with the provenance report and `degraded`
+    /// lines of the stage `report`, then caches them under `key` and
+    /// returns them, unless one of its degradations is not
     /// [replayable](isax::DegradationKind::replayable)
     /// (a deadline, a contained panic or a cancellation): such results
     /// are served but never cached.
-    fn store<'d>(
+    fn store(
         &self,
         key: CacheKey,
+        name: &str,
+        report: &StageReport,
         artifacts: Artifacts,
-        degradations: impl IntoIterator<Item = &'d Degradation>,
     ) -> Artifacts {
-        if degradations.into_iter().all(|d| d.kind.replayable()) {
+        let mut prov = isax::build_report(name, &report.prov).to_string_pretty();
+        prov.push('\n');
+        let artifacts = Artifacts {
+            prov: Some(prov),
+            degraded: report
+                .degradations
+                .iter()
+                .map(ToString::to_string)
+                .collect(),
+            ..artifacts
+        };
+        if report.degradations.iter().all(|d| d.kind.replayable()) {
             (*self.cache.insert(key, artifacts)).clone()
         } else {
             artifacts
@@ -487,22 +500,13 @@ impl Shared {
                 let mdes_json = mdes
                     .to_json()
                     .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
-                let mut plog = analysis.prov.clone();
-                plog.merge(sel.prov.clone());
-                let mut prov = isax::build_report(&name, &plog).to_string_pretty();
-                prov.push('\n');
-                let degradations: Vec<&Degradation> = analysis
-                    .degradations
-                    .iter()
-                    .chain(&sel.degradations)
-                    .collect();
+                let mut report = analysis.report;
+                report.merge(sel.report);
                 let artifacts = Artifacts {
                     mdes: Some(mdes_json),
-                    prov: Some(prov),
-                    degraded: degradations.iter().map(ToString::to_string).collect(),
                     ..Artifacts::default()
                 };
-                Ok((false, self.store(key, artifacts, degradations)))
+                Ok((false, self.store(key, &name, &report, artifacts)))
             }
             Request::Compile {
                 kernel,
@@ -551,22 +555,16 @@ impl Shared {
                     .map(ToString::to_string)
                     .collect::<Vec<_>>()
                     .join("\n");
-                let mut prov = isax::build_report(&name, &ev.compiled.prov).to_string_pretty();
-                prov.push('\n');
                 let artifacts = Artifacts {
                     assembly: Some(assembly),
-                    prov: Some(prov),
                     baseline_cycles: Some(ev.baseline_cycles),
                     custom_cycles: Some(ev.custom_cycles),
-                    degraded: ev
-                        .compiled
-                        .degradations
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect(),
                     ..Artifacts::default()
                 };
-                Ok((false, self.store(key, artifacts, &ev.compiled.degradations)))
+                Ok((
+                    false,
+                    self.store(key, &name, &ev.compiled.report, artifacts),
+                ))
             }
             // Control requests never reach the queue.
             Request::Stats | Request::Metrics | Request::Shutdown => Err(WireError::new(

@@ -35,11 +35,12 @@
 //!
 //! The `guard.*` counter group (`guard.explore_degradations`,
 //! `guard.select_degradations`, `guard.compile_degradations`) follows
-//! both rules: degradation records from `isax-guard` are counted at the
-//! stage join point, and the counters are only emitted when the resource
-//! guard is active, so default-run traces are unchanged. Work-unit
-//! budgets are deterministic, which keeps these counters diffable across
-//! thread counts like every other counter.
+//! both rules: each counts the degradation records in one stage's
+//! `StageReport` after its fan-out has joined, and one `Customizer`
+//! helper publishes all three, only when the resource guard is active,
+//! so default-run traces are unchanged. Work-unit budgets are
+//! deterministic, which keeps these counters diffable across thread
+//! counts like every other counter.
 //!
 //! # Example
 //!

@@ -27,9 +27,9 @@ fn run_checked(w: &Workload, seeds: &[u64]) {
     // must still fail.
     isax::reraise_contained(
         &[
-            &analysis.degradations[..],
-            &sel.degradations,
-            &ev.compiled.degradations,
+            &analysis.report.degradations[..],
+            &sel.report.degradations,
+            &ev.compiled.report.degradations,
         ]
         .concat(),
     );

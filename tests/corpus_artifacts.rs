@@ -49,15 +49,16 @@ fn corpus_lines() -> String {
             .iter()
             .map(|f| f.to_string())
             .collect();
-        let mut plog = analysis.prov.clone();
-        plog.merge(sel.prov.clone());
-        plog.merge(ev.compiled.prov.clone());
+        let mut plog = analysis.report.prov.clone();
+        plog.merge(sel.report.prov.clone());
+        plog.merge(ev.compiled.report.prov.clone());
         let prov = isax::build_report(&k.name, &plog).to_string_pretty();
         let degradations: Vec<String> = analysis
+            .report
             .degradations
             .iter()
-            .chain(&sel.degradations)
-            .chain(&ev.compiled.degradations)
+            .chain(&sel.report.degradations)
+            .chain(&ev.compiled.report.degradations)
             .map(|d| d.to_string())
             .collect();
         let mdes = mdes.to_json().expect("mdes serializes");

@@ -39,9 +39,9 @@ fn run_pipeline(name: &str, budget: f64) -> PipelineOutput {
     // fallback; it must fail the comparison instead.
     isax::reraise_contained(
         &[
-            &analysis.degradations[..],
-            &sel.degradations,
-            &ev.compiled.degradations,
+            &analysis.report.degradations[..],
+            &sel.report.degradations,
+            &ev.compiled.report.degradations,
         ]
         .concat(),
     );

@@ -65,9 +65,9 @@ fn run_with_fault(stage: Stage, kind: FaultKind) -> Run {
     let (mdes, sel) = cz.select("fi_kernel", &analysis, 15.0);
     let ev = cz.evaluate(&program, &mdes, MatchOptions::exact());
     Run {
-        analysis_degradations: analysis.degradations,
-        select_degradations: sel.degradations,
-        compile_degradations: ev.compiled.degradations,
+        analysis_degradations: analysis.report.degradations,
+        select_degradations: sel.report.degradations,
+        compile_degradations: ev.compiled.report.degradations,
         chosen: sel.chosen.len(),
         custom_cycles: ev.custom_cycles,
         baseline_cycles: ev.baseline_cycles,
@@ -230,7 +230,7 @@ fn unconfigured_fault_hook_is_inert() {
     let analysis = cz.analyze(&program);
     let (mdes, sel) = cz.select("fi_kernel", &analysis, 15.0);
     let ev = cz.evaluate(&program, &mdes, MatchOptions::exact());
-    assert!(analysis.degradations.is_empty());
-    assert!(sel.degradations.is_empty());
-    assert!(ev.compiled.degradations.is_empty());
+    assert!(analysis.report.degradations.is_empty());
+    assert!(sel.report.degradations.is_empty());
+    assert!(ev.compiled.report.degradations.is_empty());
 }

@@ -66,9 +66,9 @@ fn differential_pipeline(p: &Program, entry: &str, seed: u64, label: &str) {
     // sweep.
     isax::reraise_contained(
         &[
-            &analysis.degradations[..],
-            &sel.degradations,
-            &ev.compiled.degradations,
+            &analysis.report.degradations[..],
+            &sel.report.degradations,
+            &ev.compiled.report.degradations,
         ]
         .concat(),
     );
@@ -308,9 +308,9 @@ fn artifacts_are_byte_identical_across_thread_counts() {
             .iter()
             .map(|f| f.to_string())
             .collect();
-        let mut plog = analysis.prov.clone();
-        plog.merge(sel.prov.clone());
-        plog.merge(ev.compiled.prov.clone());
+        let mut plog = analysis.report.prov.clone();
+        plog.merge(sel.report.prov.clone());
+        plog.merge(ev.compiled.report.prov.clone());
         let prov = isax::build_report(entry, &plog).to_string_pretty();
         (asm, mdes.to_json().unwrap(), prov)
     }

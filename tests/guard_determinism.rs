@@ -44,12 +44,19 @@ fn run(kernel: &str) -> Artifacts {
     let ev = cz.evaluate(&program, &mdes, MatchOptions::exact());
 
     let mut degradations: Vec<String> = analysis
+        .report
         .degradations
         .iter()
         .map(|d| d.to_string())
         .collect();
-    degradations.extend(sel.degradations.iter().map(|d| d.to_string()));
-    degradations.extend(ev.compiled.degradations.iter().map(|d| d.to_string()));
+    degradations.extend(sel.report.degradations.iter().map(|d| d.to_string()));
+    degradations.extend(
+        ev.compiled
+            .report
+            .degradations
+            .iter()
+            .map(|d| d.to_string()),
+    );
 
     Artifacts {
         mdes_json: mdes.to_json().expect("mdes serializes"),

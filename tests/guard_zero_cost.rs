@@ -14,17 +14,17 @@ fn run(cz: &Customizer, name: &str) -> (String, String, u64, usize) {
     let w = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let analysis = cz.analyze(&w.program);
     assert!(
-        analysis.degradations.is_empty(),
+        analysis.report.degradations.is_empty(),
         "{name}: inactive guard produced analysis degradations"
     );
     let (mdes, sel) = cz.select(name, &analysis, 15.0);
     assert!(
-        sel.degradations.is_empty(),
+        sel.report.degradations.is_empty(),
         "{name}: inactive guard produced selection degradations"
     );
     let ev = cz.evaluate(&w.program, &mdes, MatchOptions::exact());
     assert!(
-        ev.compiled.degradations.is_empty(),
+        ev.compiled.report.degradations.is_empty(),
         "{name}: inactive guard produced compile degradations"
     );
     let assembly = ev

@@ -153,7 +153,7 @@ proptest! {
         // The stages contain worker panics; an internal bug must still
         // fail the fuzzer rather than hide behind a fallback result.
         isax::reraise_contained(
-            &[&analysis.degradations[..], &sel.degradations, &ev.compiled.degradations].concat(),
+            &[&analysis.report.degradations[..], &sel.report.degradations, &ev.compiled.report.degradations].concat(),
         );
         prop_assert!(isax_ir::verify_program(&ev.compiled.program).is_ok());
         prop_assert!(ev.custom_cycles <= ev.baseline_cycles,
@@ -179,7 +179,7 @@ proptest! {
         prop_assert_eq!(a1.cfus.len(), a2.cfus.len());
         let (m1, s1) = cz.select("fuzz", &a1, 10.0);
         let (m2, _) = cz.select("fuzz", &a2, 10.0);
-        isax::reraise_contained(&[&a1.degradations[..], &s1.degradations].concat());
+        isax::reraise_contained(&[&a1.report.degradations[..], &s1.report.degradations].concat());
         prop_assert_eq!(m1.to_json().unwrap(), m2.to_json().unwrap());
     }
 }

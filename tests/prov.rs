@@ -62,9 +62,9 @@ fn run_pipeline(name: &str, budget: f64) -> ProvRun {
     let analysis = cz.analyze(&w.program);
     let (mdes, sel) = cz.select(name, &analysis, budget);
     let ev = cz.evaluate(&w.program, &mdes, MatchOptions::with_subsumed());
-    let mut log = analysis.prov.clone();
-    log.merge(sel.prov.clone());
-    log.merge(ev.compiled.prov.clone());
+    let mut log = analysis.report.prov.clone();
+    log.merge(sel.report.prov.clone());
+    log.merge(ev.compiled.report.prov.clone());
     ProvRun {
         artifacts: Artifacts {
             mdes_json: mdes.to_json().expect("mdes serializes"),

@@ -237,9 +237,9 @@ fn crc_report() -> isax_json::Value {
     let analysis = cz.analyze(&w.program);
     let (mdes, sel) = cz.select("crc", &analysis, 6.0);
     let ev = cz.evaluate(&w.program, &mdes, MatchOptions::with_subsumed());
-    let mut log = analysis.prov.clone();
-    log.merge(sel.prov.clone());
-    log.merge(ev.compiled.prov.clone());
+    let mut log = analysis.report.prov.clone();
+    log.merge(sel.report.prov.clone());
+    log.merge(ev.compiled.report.prov.clone());
     isax::build_report("crc", &log)
 }
 

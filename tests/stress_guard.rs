@@ -79,9 +79,9 @@ fn run_governed(kernel: &str, budget: u64) -> Vec<isax::Degradation> {
         "{kernel}: governed output diverges from the original:\n{report}"
     );
 
-    let mut degradations = analysis.degradations.clone();
-    degradations.extend(sel.degradations.iter().cloned());
-    degradations.extend(ev.compiled.degradations.iter().cloned());
+    let mut degradations = analysis.report.degradations.clone();
+    degradations.extend(sel.report.degradations.iter().cloned());
+    degradations.extend(ev.compiled.report.degradations.iter().cloned());
     degradations
 }
 
@@ -157,5 +157,5 @@ fn unlimited_guard_matches_ungoverned_on_stress_head() {
     let b = governed.analyze(&program);
     assert_eq!(a.stats.examined, b.stats.examined);
     assert_eq!(a.cfus.len(), b.cfus.len());
-    assert!(b.degradations.is_empty());
+    assert!(b.report.degradations.is_empty());
 }
