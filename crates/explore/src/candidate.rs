@@ -90,11 +90,13 @@ pub struct ExploreStats {
     pub examined_by_size: Vec<u64>,
     /// Growth directions rejected by the guide function.
     pub directions_pruned: u64,
-    /// Canonical-fingerprint lookups answered by the cheap-key memo
-    /// (only provenance identity consults it; 0 with provenance off).
+    /// Provenance events whose shape already had its canonical
+    /// fingerprint from an event of the other kind: shapes given both a
+    /// `Discovered` and a `Pruned` event. 0 with provenance off.
     pub memo_hits: u64,
-    /// Canonical-fingerprint lookups that had to extract and fingerprint
-    /// a pattern — one per distinct candidate shape encountered.
+    /// Shapes whose pattern was extracted and fingerprinted, at their
+    /// first provenance event: one per distinct shape given an event.
+    /// 0 with provenance off.
     pub memo_misses: u64,
     /// True if the search hit its examination budget and stopped early.
     pub truncated: bool,

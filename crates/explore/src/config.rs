@@ -78,23 +78,16 @@ pub struct ExploreConfig {
     /// Minimum total score for a direction to be explored (paper: half of
     /// the total desirability points, i.e. 20 of 40).
     pub threshold: f64,
-    /// Optional cap on how many directions are followed per growth step
-    /// ("arbitrary control on the fanout from seeds"). `None` explores
-    /// every direction that clears the threshold.
-    pub max_fanout: Option<usize>,
     /// Adaptive fanout: once a candidate reaches this size, only the best
     /// [`ExploreConfig::taper_fanout`] directions are followed. This is
     /// the paper's "higher fanout ... at the initial levels of the search
     /// and then more tightly constrain the number of growth directions as
     /// the candidates increase in size" — the mechanism that keeps very
-    /// large (e.g. unrolled) blocks tractable. `None` disables tapering.
+    /// large (e.g. unrolled) blocks tractable. `Some(1)` caps every growth
+    /// step; `None` disables tapering.
     pub taper_size: Option<usize>,
     /// Directions followed per step once the taper engages.
     pub taper_fanout: usize,
-    /// How far the inputs/outputs may transiently exceed the port limits
-    /// *during* growth (candidates are only recorded within limits, but
-    /// reconvergent shapes can dip back under after exceeding them).
-    pub io_overshoot: usize,
     /// Beam-ordered growth: keep at most this many unexamined candidates
     /// per frontier level, expanding the best-scored ones first, so a
     /// bounded examination budget is spent on the most promising shapes.
@@ -113,10 +106,8 @@ impl Default for ExploreConfig {
             max_nodes: 48,
             weights: GuideWeights::default(),
             threshold: 20.0,
-            max_fanout: None,
             taper_size: None,
             taper_fanout: 2,
-            io_overshoot: 0,
             beam_width: None,
         }
     }
@@ -168,7 +159,7 @@ mod tests {
         let c = ExploreConfig::default();
         assert_eq!(c.total_points(), 40.0);
         assert_eq!(c.threshold, c.total_points() / 2.0);
-        assert!(c.max_fanout.is_none());
+        assert!(c.taper_size.is_none());
     }
 
     #[test]

@@ -8,12 +8,19 @@
 //! leaves open "the possibility that a low ranking candidate will grow
 //! into a useful one".
 //!
-//! # Hot-path design
+//! # Walk order
 //!
-//! The inner loop used to rebuild a pattern graph and canonical WL
-//! fingerprint for every `(candidate, direction)` pair, with a
-//! fingerprint-keyed memo in front of the delay/area computation. Both
-//! are gone from the hot path:
+//! One walk serves every order. The seeds form the first level, each
+//! scored `f64::INFINITY`. Without [`ExploreConfig::beam_width`], each
+//! examined candidate's children (best direction first) are walked
+//! before its next sibling: the depth-first preorder. With a beam width,
+//! each level is stably sorted by guide score and cut to the width, the
+//! cut entries counting as pruned directions, and the survivors'
+//! children form the next level. The adaptive fanout taper
+//! ([`ExploreConfig::taper_size`]) is the only per-candidate traversal
+//! control.
+//!
+//! # Hot-path design
 //!
 //! * [`SubgraphEval`] precomputes per-node costs, label keys and
 //!   adjacency bitsets once per DFG, then evaluates any candidate in one
@@ -22,15 +29,10 @@
 //!   materialization and no hashing.
 //! * Canonical identity is two-tier: a **cheap structural key**
 //!   ([`SubgraphEval::cheap_key`], an order-independent mix of label
-//!   keys, internal edges and path depths) dedups provenance events, and
-//!   the full `canon` fingerprint is computed only on the first
-//!   encounter of each cheap key, via the cross-seed
-//!   [`FingerprintMemo`]. With provenance disabled neither tier runs.
-//!
-//! Growth order is configurable: the default is the historical
-//! depth-first walk; [`ExploreConfig::beam_width`] switches to a
-//! level-synchronous best-first walk that expands the highest-scored
-//! frontier entries first (see [`Walker::run_beam`]).
+//!   keys, internal edges and path depths) dedups provenance events to
+//!   one per (shape, kind) per DFG, and the full `canon` fingerprint is
+//!   computed once per cheap key, at the shape's first event. With
+//!   provenance disabled neither tier runs.
 
 use crate::candidate::{extract_pattern, Candidate, ExploreResult};
 use crate::config::ExploreConfig;
@@ -39,7 +41,7 @@ use isax_graph::{canon, BitSet, Fingerprint};
 use isax_guard::{Degradation, Guard, Meter, Stage};
 use isax_hwlib::HwLibrary;
 use isax_ir::{Dfg, SlackInfo};
-use std::collections::{HashMap, HashSet};
+use std::collections::{hash_map, HashMap, HashSet};
 
 /// Full candidate metrics including the split port counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -239,18 +241,15 @@ impl<'a> SubgraphEval<'a> {
         })
     }
 
-    /// Cheap isomorphism-invariant structural key of `nodes`: an
-    /// order-independent (wrapping-sum) mix of per-node terms — label key
-    /// xor longest-path finish time — and per-internal-edge terms —
-    /// endpoint labels plus the destination port, collapsed to
-    /// [`canon::COMMUTATIVE_PORT`] when the consumer is commutative —
-    /// combined with the node and edge counts.
+    /// Cheap isomorphism-invariant structural key of `nodes`: the
+    /// [`canon::multiset_key`] formula with each node term's label key
+    /// xored with its longest-path finish time.
     ///
     /// Isomorphic embeddings of the same pattern share the key exactly
     /// (every term is a function of the labelled pattern alone), so it
-    /// can dedup provenance events and front the canonical-fingerprint
-    /// cache; distinct patterns collide with ordinary 64-bit-hash
-    /// probability, which the golden provenance reports pin empirically.
+    /// can dedup provenance events and key their canonical fingerprints;
+    /// distinct patterns collide with ordinary 64-bit-hash probability,
+    /// which the golden provenance reports pin empirically.
     pub(crate) fn cheap_key(&mut self, nodes: &BitSet) -> u64 {
         let mut node_acc = 0u64;
         let mut edge_acc = 0u64;
@@ -262,73 +261,34 @@ impl<'a> SubgraphEval<'a> {
                 if nodes.contains(u) {
                     start = start.max(self.finish[u]);
                     edges += 1;
-                    let ptag = if self.commutative[v] {
-                        canon::COMMUTATIVE_PORT
-                    } else {
-                        port as u64
-                    };
-                    edge_acc = edge_acc.wrapping_add(canon::mix(canon::combine(
-                        canon::combine(self.label_key[u], self.label_key[v]),
-                        ptag,
-                    )));
+                    edge_acc = edge_acc.wrapping_add(canon::edge_term(
+                        self.label_key[u],
+                        self.label_key[v],
+                        self.commutative[v],
+                        port,
+                    ));
                 }
             }
             let f = start + delay;
             self.finish[v] = f;
             node_acc = node_acc.wrapping_add(canon::mix(self.label_key[v] ^ f.to_bits()));
         }
-        canon::mix(canon::combine(
-            canon::combine(nodes.len() as u64, edges),
-            node_acc.wrapping_add(edge_acc),
-        ))
+        canon::finish_key(nodes.len() as u64, edges, node_acc.wrapping_add(edge_acc))
     }
-}
 
-/// Cross-seed cache from cheap structural keys to canonical fingerprints.
-///
-/// The full WL fingerprint is needed only where a candidate's *identity*
-/// leaves the explorer — provenance events keyed for the lifecycle
-/// report. Each distinct cheap key pays for one pattern extraction and
-/// one fingerprint; every repeat (the same shape at another seed or in
-/// another growth order) is a hash-map hit. With provenance disabled the
-/// memo is never consulted, so the hot path does zero fingerprint work.
-#[derive(Debug, Default)]
-pub(crate) struct FingerprintMemo {
-    map: HashMap<u64, Fingerprint, canon::PremixedState>,
-    scratch: canon::CanonScratch,
-    /// Lookups answered from the cache.
-    pub(crate) hits: u64,
-    /// Lookups that had to extract and fingerprint a pattern.
-    pub(crate) misses: u64,
-}
-
-impl FingerprintMemo {
-    /// Canonical fingerprint of `nodes`, cached under its cheap key.
-    /// `keys`/`comm` are the per-node label hashes and commutativity
-    /// flags from the DFG's [`SubgraphEval`], so a miss skips the label
-    /// string hashing too.
-    pub(crate) fn lookup(
-        &mut self,
-        dfg: &Dfg,
-        keys: &[u64],
-        comm: &[bool],
+    /// Canonical WL fingerprint of `nodes`, equal to [`canon::fingerprint`]
+    /// of its extracted pattern, from the precomputed label keys.
+    pub(crate) fn fingerprint(
+        &self,
         nodes: &BitSet,
-        cheap: u64,
+        scratch: &mut canon::CanonScratch,
     ) -> Fingerprint {
-        if let Some(&fp) = self.map.get(&cheap) {
-            self.hits += 1;
-            return fp;
-        }
-        self.misses += 1;
-        let pattern = extract_pattern(dfg, nodes);
+        let pattern = extract_pattern(self.dfg, nodes);
         for v in nodes.iter() {
-            self.scratch.base.push(canon::mix(keys[v]));
-            self.scratch.comm.push(comm[v]);
+            scratch.base.push(canon::mix(self.label_key[v]));
+            scratch.comm.push(self.commutative[v]);
         }
-        let fp =
-            canon::fingerprint_keys(&pattern, &canon::CanonConfig::default(), &mut self.scratch);
-        self.map.insert(cheap, fp);
-        fp
+        canon::fingerprint_keys(&pattern, &canon::CanonConfig::default(), scratch)
     }
 }
 
@@ -338,21 +298,18 @@ pub(crate) fn node_eligible(dfg: &Dfg, v: usize, hw: &HwLibrary) -> bool {
     !inst.opcode.is_custom() && hw.cost_of_inst(inst).is_some()
 }
 
-/// True if a candidate with these metrics may be *recorded* as a CFU
-/// (structural constraints are strict at record time even when growth is
-/// allowed to overshoot).
-pub(crate) fn recordable(m: &FullMetrics, cfg: &ExploreConfig) -> bool {
+/// True if growth may pass through a candidate with these metrics: it
+/// fits the port and area limits.
+pub(crate) fn growable(m: &FullMetrics, cfg: &ExploreConfig) -> bool {
     m.inputs <= cfg.max_inputs
         && m.outputs <= cfg.max_outputs
-        && m.outputs >= 1
         && cfg.max_area.is_none_or(|cap| m.area <= cap)
 }
 
-/// True if growth may pass through a candidate with these metrics.
-pub(crate) fn growable(m: &FullMetrics, cfg: &ExploreConfig) -> bool {
-    m.inputs <= cfg.max_inputs.saturating_add(cfg.io_overshoot)
-        && m.outputs <= cfg.max_outputs.saturating_add(cfg.io_overshoot)
-        && cfg.max_area.is_none_or(|cap| m.area <= cap)
+/// True if a candidate with these metrics may be *recorded* as a CFU: it
+/// is growable and produces at least one output.
+pub(crate) fn recordable(m: &FullMetrics, cfg: &ExploreConfig) -> bool {
+    growable(m, cfg) && m.outputs >= 1
 }
 
 /// Explores one dataflow graph with the guided heuristic and returns the
@@ -403,56 +360,29 @@ pub fn explore_dfg_metered(
         slack_info: &slack_info,
         eval: SubgraphEval::new(dfg, hw),
         seen: HashSet::new(),
-        fps: FingerprintMemo::default(),
         result: ExploreResult::default(),
         meter,
         prov_on: isax_prov::enabled(),
-        prov_noted: HashSet::new(),
+        shapes: HashMap::default(),
+        scratch: canon::CanonScratch::default(),
         nbrs: BitSet::with_capacity(n),
-        nbr_buf: Vec::new(),
     };
-    match cfg.beam_width {
-        None => {
-            for seed in 0..n {
-                if walker.result.stats.truncated {
-                    break;
-                }
-                if !walker.eval.eligible[seed] {
-                    continue;
-                }
-                let nodes: BitSet = [seed].into_iter().collect();
-                if let Some(m) = walker.eval.metrics(&nodes) {
-                    walker.grow(nodes, m, None);
-                }
+    let seeds = (0..n)
+        .filter_map(|seed| {
+            if !walker.eval.eligible[seed] {
+                return None;
             }
-        }
-        Some(width) => {
-            let mut frontier = Vec::new();
-            let mut seq = 0u64;
-            for seed in 0..n {
-                if !walker.eval.eligible[seed] {
-                    continue;
-                }
-                let nodes: BitSet = [seed].into_iter().collect();
-                if let Some(m) = walker.eval.metrics(&nodes) {
-                    // Seeds are examined before any grown candidate, in
-                    // seed order: they carry an infinite score and a
-                    // sequence-number tiebreak.
-                    frontier.push(BeamEntry {
-                        score: f64::INFINITY,
-                        seq,
-                        nodes,
-                        m,
-                        via: None,
-                    });
-                    seq += 1;
-                }
-            }
-            walker.run_beam(frontier, width, seq);
-        }
-    }
-    walker.result.stats.memo_hits = walker.fps.hits;
-    walker.result.stats.memo_misses = walker.fps.misses;
+            let nodes: BitSet = [seed].into_iter().collect();
+            let m = walker.eval.metrics(&nodes)?;
+            Some(Entry {
+                score: f64::INFINITY,
+                nodes,
+                m,
+                via: None,
+            })
+        })
+        .collect();
+    walker.walk(seeds);
     walker.result
 }
 
@@ -515,16 +445,22 @@ pub fn explore_app_guarded(
     (out, degradations)
 }
 
-/// One unexamined candidate waiting in a beam frontier.
-struct BeamEntry {
+/// One unexamined candidate of a walk level.
+struct Entry {
     /// Guide-score total of the direction that produced it (seeds:
-    /// `f64::INFINITY`, so they are always expanded first).
+    /// `f64::INFINITY`, so a beam examines them first, in seed order).
     score: f64,
-    /// Creation order, the deterministic tiebreak for equal scores.
-    seq: u64,
     nodes: BitSet,
     m: FullMetrics,
     via: Option<GuideScore>,
+}
+
+/// Provenance identity of one cheap structural key in a walk.
+struct Shape {
+    fp: Fingerprint,
+    /// Whether the shape already has a `Discovered` (`[0]`) or a
+    /// `Pruned` (`[1]`) event.
+    noted: [bool; 2],
 }
 
 struct Walker<'a> {
@@ -533,21 +469,18 @@ struct Walker<'a> {
     slack_info: &'a SlackInfo,
     eval: SubgraphEval<'a>,
     seen: HashSet<BitSet>,
-    fps: FingerprintMemo,
     result: ExploreResult,
     meter: &'a mut Meter,
     /// [`isax_prov::enabled`], hoisted once per walk.
     prov_on: bool,
-    /// Cheap structural keys already given a provenance event of a given
-    /// kind (`true` = discovered, `false` = pruned) in this walk.
-    /// Provenance reports one event per shape per DFG; the repeat
+    /// Cheap structural keys given a provenance event in this walk.
+    /// Provenance reports one event per (shape, kind) per DFG; the repeat
     /// encounters stay counted in the stats, which the differential
     /// tests pin.
-    prov_noted: HashSet<(u64, bool)>,
+    shapes: HashMap<u64, Shape, canon::PremixedState>,
+    scratch: canon::CanonScratch,
     /// Scratch mask for the growth frontier of the current candidate.
     nbrs: BitSet,
-    /// Scratch list of frontier node indices, ascending.
-    nbr_buf: Vec<usize>,
 }
 
 /// Copies a guide score into the provenance crate's dependency-free
@@ -561,87 +494,63 @@ fn breakdown(s: &crate::guide::GuideScore) -> isax_prov::ScoreBreakdown {
     }
 }
 
-impl Walker<'_> {
-    /// Depth-first growth, the historical traversal order: examine the
-    /// candidate, then recurse into its surviving directions best first.
-    fn grow(&mut self, nodes: BitSet, m: FullMetrics, via: Option<GuideScore>) {
-        let Some(dirs) = self.examine(&nodes, m, via.as_ref()) else {
-            return;
-        };
-        for (_, dir, nm, s) in dirs {
-            self.grow(nodes.with(dir), nm, Some(s));
-        }
-    }
+/// Index of a `Discovered` event in [`Shape::noted`].
+const DISCOVERED: usize = 0;
+/// Index of a `Pruned` event in [`Shape::noted`].
+const PRUNED: usize = 1;
 
-    /// Level-synchronous best-first growth: each round sorts the frontier
-    /// of unexamined candidates by guide score (descending, creation
-    /// order as tiebreak), drops everything beyond the beam width as
-    /// pruned directions, and examines the survivors, collecting their
-    /// children into the next frontier.
+/// Stably sorts entries by guide score, best first; equal scores keep
+/// their creation order.
+fn sort_best_first(entries: &mut [Entry]) {
+    entries.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+}
+
+impl Walker<'_> {
+    /// Examines one level of entries in order, in the depth-first or the
+    /// beam order of the module docs.
     ///
-    /// With `width = usize::MAX` nothing is ever dropped and the walk
-    /// examines exactly the candidate set of the depth-first order
-    /// (reachability with seen-dedup is traversal-order independent) —
-    /// pinned by the beam-equivalence proptest.
-    fn run_beam(&mut self, mut frontier: Vec<BeamEntry>, width: usize, mut seq: u64) {
-        while !frontier.is_empty() && !self.result.stats.truncated {
-            frontier.sort_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.seq.cmp(&b.seq))
-            });
-            if frontier.len() > width {
-                self.result.stats.directions_pruned += (frontier.len() - width) as u64;
-                if self.prov_on {
-                    for e in frontier.iter().skip(width) {
-                        // Seeds carry no guide score; a dropped seed is
-                        // counted but not reported (there is no score to
-                        // explain the cut with).
-                        if let Some(s) = &e.via {
-                            self.note_pruned(&e.nodes, s, isax_prov::PruneReason::BeamDropped);
-                        }
-                    }
-                }
-                frontier.truncate(width);
+    /// With `beam_width = usize::MAX` nothing is ever cut and the walk
+    /// examines exactly the depth-first candidate set (reachability with
+    /// seen-dedup is traversal-order independent), pinned by the
+    /// beam-equivalence proptest.
+    fn walk(&mut self, mut level: Vec<Entry>) {
+        if self.result.stats.truncated {
+            return;
+        }
+        if let Some(width) = self.cfg.beam_width {
+            sort_best_first(&mut level);
+            self.cut(&mut level, width, isax_prov::PruneReason::BeamDropped);
+        }
+        let mut next = Vec::new();
+        for e in level {
+            if self.result.stats.truncated {
+                break;
             }
-            let mut next: Vec<BeamEntry> = Vec::new();
-            for e in frontier {
-                if self.result.stats.truncated {
-                    break;
-                }
-                let Some(dirs) = self.examine(&e.nodes, e.m, e.via.as_ref()) else {
-                    continue;
-                };
-                for (total, dir, nm, s) in dirs {
-                    next.push(BeamEntry {
-                        score: total,
-                        seq,
-                        nodes: e.nodes.with(dir),
-                        m: nm,
-                        via: Some(s),
-                    });
-                    seq += 1;
-                }
+            let Some(children) = self.examine(&e) else {
+                continue;
+            };
+            if self.cfg.beam_width.is_some() {
+                next.extend(children);
+            } else {
+                self.walk(children);
             }
-            frontier = next;
+        }
+        if !next.is_empty() {
+            self.walk(next);
         }
     }
 
     /// Examines one candidate: dedup against `seen`, charge the meter,
     /// record it if viable, then score every growth direction. Returns
     /// `None` when the candidate was skipped (already seen, or the walk
-    /// is out of budget), otherwise the surviving directions best first
-    /// as `(total, direction node, grown metrics, score)`.
-    fn examine(
-        &mut self,
-        nodes: &BitSet,
-        m: FullMetrics,
-        via: Option<&GuideScore>,
-    ) -> Option<Vec<(f64, usize, FullMetrics, GuideScore)>> {
-        if self.result.stats.truncated {
-            return None;
-        }
+    /// is out of budget), otherwise the surviving directions' grown
+    /// candidates, best first.
+    fn examine(&mut self, e: &Entry) -> Option<Vec<Entry>> {
+        let (nodes, m) = (&e.nodes, &e.m);
         if !self.seen.insert(nodes.clone()) {
             return None;
         }
@@ -652,18 +561,10 @@ impl Walker<'_> {
             return None;
         }
         self.result.stats.note_examined(nodes.len());
-        if recordable(&m, self.cfg) && self.dfg.is_convex(nodes) {
+        if recordable(m, self.cfg) && self.dfg.is_convex(nodes) {
             self.result.stats.recorded += 1;
             if self.prov_on {
-                let ck = self.eval.cheap_key(nodes);
-                if self.prov_noted.insert((ck, true)) {
-                    let fp = self.fps.lookup(
-                        self.dfg,
-                        &self.eval.label_key,
-                        &self.eval.commutative,
-                        nodes,
-                        ck,
-                    );
+                if let Some(fp) = self.note(nodes, DISCOVERED) {
                     self.result.prov.record(
                         fp.0,
                         isax_prov::ProvEvent::Discovered {
@@ -673,7 +574,7 @@ impl Walker<'_> {
                             area: m.area,
                             inputs: m.inputs,
                             outputs: m.outputs,
-                            score: via.map(breakdown),
+                            score: e.via.as_ref().map(breakdown),
                         },
                     );
                 }
@@ -691,22 +592,19 @@ impl Walker<'_> {
             return Some(Vec::new());
         }
         // Growth frontier: union of the members' adjacency masks, minus
-        // the members — ascending, as `Dfg::neighbours` used to return.
-        let mut nbr_buf = std::mem::take(&mut self.nbr_buf);
-        nbr_buf.clear();
-        self.nbrs.clear();
+        // the members, ascending.
+        let mut nbrs = std::mem::take(&mut self.nbrs);
+        nbrs.clear();
         for v in nodes.iter() {
-            self.nbrs.union_with(&self.eval.adj[v]);
+            nbrs.union_with(&self.eval.adj[v]);
         }
-        nbr_buf.extend(
-            self.nbrs
-                .iter()
-                .filter(|&d| !nodes.contains(d) && self.eval.eligible[d]),
-        );
         // Score every eligible direction.
         let old = m.as_guide();
-        let mut dirs: Vec<(f64, usize, FullMetrics, GuideScore)> = Vec::new();
-        for &dir in &nbr_buf {
+        let mut children = Vec::new();
+        for dir in nbrs.iter() {
+            if nodes.contains(dir) || !self.eval.eligible[dir] {
+                continue;
+            }
             let grown = nodes.with(dir);
             let Some(nm) = self.eval.metrics(&grown) else {
                 continue;
@@ -722,46 +620,51 @@ impl Walker<'_> {
                 }
                 continue;
             }
-            dirs.push((s.total(), dir, nm, s));
+            children.push(Entry {
+                score: s.total(),
+                nodes: grown,
+                m: nm,
+                via: Some(s),
+            });
         }
-        self.nbr_buf = nbr_buf;
-        // Best directions first; optionally cap the fanout — with the
-        // adaptive taper tightening the cap once candidates grow large.
-        dirs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut cap = self.cfg.max_fanout;
-        if let Some(ts) = self.cfg.taper_size {
-            if nodes.len() >= ts {
-                cap = Some(cap.unwrap_or(usize::MAX).min(self.cfg.taper_fanout));
-            }
+        self.nbrs = nbrs;
+        // Best directions first; the adaptive taper caps the fanout once
+        // candidates grow large.
+        sort_best_first(&mut children);
+        if self.cfg.taper_size.is_some_and(|ts| nodes.len() >= ts) {
+            self.cut(
+                &mut children,
+                self.cfg.taper_fanout,
+                isax_prov::PruneReason::FanoutCap,
+            );
         }
-        if let Some(cap) = cap {
-            if dirs.len() > cap {
-                self.result.stats.directions_pruned += (dirs.len() - cap) as u64;
-                if self.prov_on {
-                    for &(_, dir, _, s) in dirs.iter().skip(cap) {
-                        let grown = nodes.with(dir);
-                        self.note_pruned(&grown, &s, isax_prov::PruneReason::FanoutCap);
-                    }
+        Some(children)
+    }
+
+    /// Keeps the first `cap` entries and counts the rest as pruned
+    /// directions, each reported with `reason`. Seeds carry no guide
+    /// score, so a dropped seed is counted but not reported (there is no
+    /// score to explain the cut with).
+    fn cut(&mut self, entries: &mut Vec<Entry>, cap: usize, reason: isax_prov::PruneReason) {
+        if entries.len() <= cap {
+            return;
+        }
+        self.result.stats.directions_pruned += (entries.len() - cap) as u64;
+        if self.prov_on {
+            for e in &entries[cap..] {
+                if let Some(s) = &e.via {
+                    self.note_pruned(&e.nodes, s, reason);
                 }
-                dirs.truncate(cap);
             }
         }
-        Some(dirs)
+        entries.truncate(cap);
     }
 
     /// Records a `Pruned` event for a dropped growth direction, at most
-    /// once per (shape, kind) per walk. Callers gate on `prov_on`, so a
-    /// disabled run never computes the cheap key.
+    /// once per shape per walk. Callers gate on `prov_on`, so a disabled
+    /// run never computes the cheap key.
     fn note_pruned(&mut self, grown: &BitSet, s: &GuideScore, reason: isax_prov::PruneReason) {
-        let ck = self.eval.cheap_key(grown);
-        if self.prov_noted.insert((ck, false)) {
-            let fp = self.fps.lookup(
-                self.dfg,
-                &self.eval.label_key,
-                &self.eval.commutative,
-                grown,
-                ck,
-            );
+        if let Some(fp) = self.note(grown, PRUNED) {
             self.result.prov.record(
                 fp.0,
                 isax_prov::ProvEvent::Pruned {
@@ -772,6 +675,32 @@ impl Walker<'_> {
                 },
             );
         }
+    }
+
+    /// Admits the first event of `kind` for the shape of `nodes` and
+    /// returns the shape's canonical fingerprint, or `None` when the
+    /// shape already has such an event. The fingerprint is computed on
+    /// the shape's first event (a memo miss) and reused by its event of
+    /// the other kind (a memo hit).
+    fn note(&mut self, nodes: &BitSet, kind: usize) -> Option<Fingerprint> {
+        let ck = self.eval.cheap_key(nodes);
+        let stats = &mut self.result.stats;
+        let shape = match self.shapes.entry(ck) {
+            hash_map::Entry::Occupied(o) if o.get().noted[kind] => return None,
+            hash_map::Entry::Occupied(o) => {
+                stats.memo_hits += 1;
+                o.into_mut()
+            }
+            hash_map::Entry::Vacant(v) => {
+                stats.memo_misses += 1;
+                v.insert(Shape {
+                    fp: self.eval.fingerprint(nodes, &mut self.scratch),
+                    noted: [false; 2],
+                })
+            }
+        };
+        shape.noted[kind] = true;
+        Some(shape.fp)
     }
 }
 
@@ -866,7 +795,8 @@ mod tests {
         let dfg = kernel_dfg();
         let full = explore_dfg(&dfg, &hw(), &ExploreConfig::default());
         let capped_cfg = ExploreConfig {
-            max_fanout: Some(1),
+            taper_size: Some(1),
+            taper_fanout: 1,
             ..ExploreConfig::default()
         };
         let capped = explore_dfg(&dfg, &hw(), &capped_cfg);
@@ -911,17 +841,17 @@ mod tests {
         assert_eq!(m2, metrics_of(&dfg, &second, &hw).unwrap());
         assert_eq!(m1.delay, m2.delay);
         assert_eq!(m1.area, m2.area);
-        // Isomorphic embeddings share the cheap structural key, so the
-        // fingerprint memo computes one fingerprint and serves the rest.
-        let k1 = eval.cheap_key(&first);
-        let k2 = eval.cheap_key(&second);
-        assert_eq!(k1, k2, "same shape must share the cheap key");
-        let mut memo = FingerprintMemo::default();
-        let f1 = memo.lookup(&dfg, &eval.label_key, &eval.commutative, &first, k1);
-        let f2 = memo.lookup(&dfg, &eval.label_key, &eval.commutative, &second, k2);
-        assert_eq!((memo.hits, memo.misses), (1, 1), "same shape must hit");
+        // Isomorphic embeddings share the cheap structural key and the
+        // fingerprint, which is the canonical one.
+        assert_eq!(
+            eval.cheap_key(&first),
+            eval.cheap_key(&second),
+            "same shape must share the cheap key"
+        );
+        let mut scratch = canon::CanonScratch::default();
+        let f1 = eval.fingerprint(&first, &mut scratch);
+        let f2 = eval.fingerprint(&second, &mut scratch);
         assert_eq!(f1, f2);
-        // The cached fingerprint is the canonical one.
         let fresh = canon::fingerprint(
             &extract_pattern(&dfg, &second),
             DfgLabel::key,
@@ -1004,8 +934,8 @@ mod tests {
 
     #[test]
     fn memo_counters_are_zero_without_provenance() {
-        // The fingerprint memo fronts provenance identity only: a
-        // prov-off exploration must never touch it.
+        // Fingerprints serve provenance identity only: a prov-off
+        // exploration computes none.
         let dfg = kernel_dfg();
         let r = explore_dfg(&dfg, &hw(), &ExploreConfig::default());
         assert_eq!(r.stats.memo_hits, 0, "no fingerprint work on hot path");
@@ -1049,38 +979,26 @@ mod tests {
     }
 
     #[test]
-    fn metered_explore_stops_after_exactly_budget_candidates() {
+    fn metered_walk_yields_a_prefix_of_exactly_budget_candidates() {
         let dfg = kernel_dfg();
-        let full = explore_dfg(&dfg, &hw(), &ExploreConfig::default());
-        assert!(!full.stats.truncated);
-        let budget = full.stats.examined / 2;
-        let mut meter = Meter::with_limit(Stage::Explore, 0, budget);
-        let partial = explore_dfg_metered(&dfg, &hw(), &ExploreConfig::default(), &mut meter);
-        assert!(partial.stats.truncated);
-        assert_eq!(partial.stats.examined, budget);
-        assert_eq!(meter.spent(), budget);
-        // The partial candidate set is a subset of the full one.
-        let full_sets: HashSet<_> = full.candidates.iter().map(|c| c.nodes.clone()).collect();
-        for c in &partial.candidates {
-            assert!(full_sets.contains(&c.nodes));
+        for beam_width in [None, Some(2), Some(usize::MAX)] {
+            let cfg = ExploreConfig {
+                beam_width,
+                ..ExploreConfig::default()
+            };
+            let full = explore_dfg(&dfg, &hw(), &cfg);
+            assert!(!full.stats.truncated);
+            let budget = full.stats.examined / 2;
+            let mut meter = Meter::with_limit(Stage::Explore, 0, budget);
+            let partial = explore_dfg_metered(&dfg, &hw(), &cfg, &mut meter);
+            assert!(partial.stats.truncated, "beam {beam_width:?}");
+            assert_eq!(partial.stats.examined, budget, "beam {beam_width:?}");
+            assert_eq!(meter.spent(), budget, "beam {beam_width:?}");
+            assert!(
+                full.candidates.starts_with(&partial.candidates),
+                "beam {beam_width:?}: a truncated walk is a prefix of the full one"
+            );
         }
-    }
-
-    #[test]
-    fn metered_beam_stops_after_exactly_budget_candidates() {
-        let dfg = kernel_dfg();
-        let cfg = ExploreConfig {
-            beam_width: Some(usize::MAX),
-            ..ExploreConfig::default()
-        };
-        let full = explore_dfg(&dfg, &hw(), &cfg);
-        assert!(!full.stats.truncated);
-        let budget = full.stats.examined / 2;
-        let mut meter = Meter::with_limit(Stage::Explore, 0, budget);
-        let partial = explore_dfg_metered(&dfg, &hw(), &cfg, &mut meter);
-        assert!(partial.stats.truncated);
-        assert_eq!(partial.stats.examined, budget);
-        assert_eq!(meter.spent(), budget);
     }
 
     #[test]

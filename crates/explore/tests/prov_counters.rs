@@ -1,16 +1,18 @@
 //! Provenance-mode counter contracts for the explorer.
 //!
-//! The canonical-fingerprint memo exists *only* for provenance identity:
-//! with recording enabled it answers one miss per distinct candidate
-//! shape and hits on every repeat encounter, and those counters must not
-//! depend on the traversal order (depth-first vs beam). The provenance
-//! enable flag is process-global, so everything lives in one `#[test]`
-//! in its own integration binary — unit tests in the library (which run
-//! concurrently) never enable it.
+//! The explorer computes a canonical fingerprint only for provenance
+//! identity. Provenance admits one event per (shape, kind), so each
+//! shape's first event computes its fingerprint (a memo miss) and its
+//! event of the other kind, if any, reuses it (a memo hit). Those
+//! counters must not depend on the traversal order (depth-first vs
+//! beam). The provenance enable flag is process-global, so everything
+//! lives in one `#[test]` in its own integration binary — unit tests in
+//! the library (which run concurrently) never enable it.
 
-use isax_explore::{explore_dfg, ExploreConfig};
+use isax_explore::{explore_dfg, ExploreConfig, ExploreResult};
 use isax_hwlib::HwLibrary;
 use isax_ir::{function_dfgs, Dfg, FunctionBuilder};
+use std::collections::BTreeMap;
 
 fn kernel_dfg() -> Dfg {
     let mut fb = FunctionBuilder::new("k", 3);
@@ -27,6 +29,24 @@ fn kernel_dfg() -> Dfg {
     function_dfgs(&fb.finish()).remove(0)
 }
 
+/// Asserts the exact memo-counter semantics: one miss per distinct
+/// fingerprint among the walk's events, one hit per fingerprint that
+/// carries both a `Discovered` and a `Pruned` event.
+fn assert_memo_counts_match_events(r: &ExploreResult) {
+    let mut kinds: BTreeMap<u64, [bool; 2]> = BTreeMap::new();
+    for (fp, e) in r.prov.events() {
+        let k = kinds.entry(*fp).or_default();
+        match e {
+            isax_prov::ProvEvent::Discovered { .. } => k[0] = true,
+            isax_prov::ProvEvent::Pruned { .. } => k[1] = true,
+            other => panic!("unexpected explore event {other:?}"),
+        }
+    }
+    assert_eq!(r.stats.memo_misses, kinds.len() as u64);
+    let both = kinds.values().filter(|k| k[0] && k[1]).count();
+    assert_eq!(r.stats.memo_hits, both as u64);
+}
+
 #[test]
 fn prov_mode_memo_counters_are_live_and_order_independent() {
     let dfg = kernel_dfg();
@@ -40,10 +60,27 @@ fn prov_mode_memo_counters_are_live_and_order_independent() {
 
     let _guard = isax_prov::enable();
 
-    // Provenance on: one miss per distinct shape given an event, hits on
-    // the repeat encounters, and one Discovered event per recorded shape.
+    // Provenance on: one miss per distinct shape given an event, one hit
+    // per shape given both kinds, and one Discovered event per recorded
+    // shape.
     let dfs = explore_dfg(&dfg, &hw, &cfg);
     assert!(dfs.stats.memo_misses > 0, "distinct shapes must miss once");
+    assert_memo_counts_match_events(&dfs);
+    // A fanout cap prunes shapes that other seeds discover: hits go live.
+    let capped = explore_dfg(
+        &dfg,
+        &hw,
+        &ExploreConfig {
+            taper_size: Some(1),
+            taper_fanout: 1,
+            ..ExploreConfig::default()
+        },
+    );
+    assert!(
+        capped.stats.memo_hits > 0,
+        "some shape is discovered and pruned"
+    );
+    assert_memo_counts_match_events(&capped);
     let discovered = dfs
         .prov
         .events()
@@ -70,6 +107,7 @@ fn prov_mode_memo_counters_are_live_and_order_independent() {
             ..ExploreConfig::default()
         },
     );
+    assert_memo_counts_match_events(&beam);
     assert_eq!(beam.stats.memo_hits, dfs.stats.memo_hits);
     assert_eq!(beam.stats.memo_misses, dfs.stats.memo_misses);
     let beam_discovered = beam

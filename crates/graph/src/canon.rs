@@ -193,17 +193,36 @@ pub fn multiset_key<N>(
         nodes = nodes.wrapping_add(mix(key_of(v)));
     }
     for e in g.edges() {
-        let port = if comm_of(e.dst) {
-            COMMUTATIVE_PORT
-        } else {
-            e.port as u64
-        };
-        edges = edges.wrapping_add(mix(combine(combine(key_of(e.src), key_of(e.dst)), port)));
+        edges = edges.wrapping_add(edge_term(
+            key_of(e.src),
+            key_of(e.dst),
+            comm_of(e.dst),
+            e.port,
+        ));
     }
-    mix(combine(
-        combine(g.node_count() as u64, g.edge_count() as u64),
+    finish_key(
+        g.node_count() as u64,
+        g.edge_count() as u64,
         nodes.wrapping_add(edges),
-    ))
+    )
+}
+
+/// One edge's term in the [`multiset_key`] edge sum: the endpoint keys
+/// and the destination port, collapsed to [`COMMUTATIVE_PORT`] when the
+/// consumer is commutative. Shared by every incremental form of the key.
+pub fn edge_term(src_key: u64, dst_key: u64, dst_commutative: bool, port: u8) -> u64 {
+    let port = if dst_commutative {
+        COMMUTATIVE_PORT
+    } else {
+        port as u64
+    };
+    mix(combine(combine(src_key, dst_key), port))
+}
+
+/// Finishes a [`multiset_key`] from the node and edge counts and the
+/// wrapping sum of the per-node and per-edge terms.
+pub fn finish_key(nodes: u64, edges: u64, terms: u64) -> u64 {
+    mix(combine(combine(nodes, edges), terms))
 }
 
 /// Reusable buffers for [`fingerprint_keys`].

@@ -241,20 +241,18 @@ fn closure_keyed(pattern: &DiGraph<DfgLabel>, cap: usize) -> Vec<(DiGraph<DfgLab
             let node_acc = key_total.wrapping_sub(canon::mix(keys[vi]));
             let mut edge_acc = 0u64;
             for &(s, d, p) in &scratch_edges {
-                let port = if comm[orig(d)] {
-                    canon::COMMUTATIVE_PORT
-                } else {
-                    p as u64
-                };
-                edge_acc = edge_acc.wrapping_add(canon::mix(canon::combine(
-                    canon::combine(keys[orig(s)], keys[orig(d)]),
-                    port,
-                )));
+                edge_acc = edge_acc.wrapping_add(canon::edge_term(
+                    keys[orig(s)],
+                    keys[orig(d)],
+                    comm[orig(d)],
+                    p,
+                ));
             }
-            let key = canon::mix(canon::combine(
-                canon::combine((nodes - 1) as u64, scratch_edges.len() as u64),
+            let key = canon::finish_key(
+                (nodes - 1) as u64,
+                scratch_edges.len() as u64,
                 node_acc.wrapping_add(edge_acc),
-            ));
+            );
             // Exact duplicate test against the bucket's cached members:
             // same positional labels (compared as labels, not hashes) and
             // same sorted edge triples.

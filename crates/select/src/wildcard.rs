@@ -126,15 +126,6 @@ pub fn find_wildcard_partners(cands: &mut [CfuCandidate]) {
     let mut buckets: HashMap<(usize, u64), Vec<(usize, NodeId)>, canon::PremixedState> =
         HashMap::default();
     let mut wild_keys: HashMap<usize, u64> = HashMap::new();
-    // One edge's contribution to the multiset-key edge accumulator.
-    let edge_term = |src_key: u64, dst_key: u64, dst_comm: bool, port: u8| {
-        let p = if dst_comm {
-            canon::COMMUTATIVE_PORT
-        } else {
-            port as u64
-        };
-        canon::mix(canon::combine(canon::combine(src_key, dst_key), p))
-    };
     for (i, c) in cands.iter().enumerate() {
         let g = &c.pattern;
         let keys: Vec<u64> = g.node_ids().map(|n| g[n].key()).collect();
@@ -148,14 +139,13 @@ pub fn find_wildcard_partners(cands: &mut [CfuCandidate]) {
             .iter()
             .fold(0u64, |a, &k| a.wrapping_add(canon::mix(k)));
         let edge_total = g.edges().fold(0u64, |a, e| {
-            a.wrapping_add(edge_term(
+            a.wrapping_add(canon::edge_term(
                 keys[e.src.index()],
                 keys[e.dst.index()],
                 comm[e.dst.index()],
                 e.port,
             ))
         });
-        let counts = canon::combine(g.node_count() as u64, g.edge_count() as u64);
         for v in g.node_ids() {
             let arity = g[v].opcode.arity();
             let wild_key = *wild_keys
@@ -167,13 +157,13 @@ pub fn find_wildcard_partners(cands: &mut [CfuCandidate]) {
             let mut edge_acc = edge_total;
             for e in g.succs(v) {
                 edge_acc = edge_acc
-                    .wrapping_sub(edge_term(
+                    .wrapping_sub(canon::edge_term(
                         keys[e.src.index()],
                         keys[e.dst.index()],
                         comm[e.dst.index()],
                         e.port,
                     ))
-                    .wrapping_add(edge_term(
+                    .wrapping_add(canon::edge_term(
                         wild_key,
                         keys[e.dst.index()],
                         comm[e.dst.index()],
@@ -182,15 +172,24 @@ pub fn find_wildcard_partners(cands: &mut [CfuCandidate]) {
             }
             for e in g.preds(v) {
                 edge_acc = edge_acc
-                    .wrapping_sub(edge_term(
+                    .wrapping_sub(canon::edge_term(
                         keys[e.src.index()],
                         keys[e.dst.index()],
                         comm[e.dst.index()],
                         e.port,
                     ))
-                    .wrapping_add(edge_term(keys[e.src.index()], wild_key, true, e.port));
+                    .wrapping_add(canon::edge_term(
+                        keys[e.src.index()],
+                        wild_key,
+                        true,
+                        e.port,
+                    ));
             }
-            let key = canon::mix(canon::combine(counts, node_acc.wrapping_add(edge_acc)));
+            let key = canon::finish_key(
+                g.node_count() as u64,
+                g.edge_count() as u64,
+                node_acc.wrapping_add(edge_acc),
+            );
             debug_assert_eq!(
                 key,
                 wild_key_indexed(g, &keys, &comm, v, wild_key),
