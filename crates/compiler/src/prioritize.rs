@@ -11,7 +11,7 @@ use crate::matching::PatternMatch;
 use crate::mdes::Mdes;
 use crate::replace::supernodes_acyclic;
 use isax_ir::Dfg;
-use std::collections::HashSet;
+use isax_select::Claims;
 
 /// Filters `matches` down to a non-overlapping, **jointly replaceable**
 /// set, honouring the MDES priority order, then savings.
@@ -56,10 +56,10 @@ pub fn prioritize(mut matches: Vec<PatternMatch>, mdes: &Mdes, dfgs: &[Dfg]) -> 
             .then(a.block.cmp(&b.block))
             .then(a.nodes.cmp(&b.nodes))
     });
-    let mut claimed: HashSet<(usize, usize)> = HashSet::new();
+    let mut claims = Claims::default();
     let mut accepted: Vec<PatternMatch> = Vec::new();
     for m in matches {
-        if !m.nodes.iter().all(|n| !claimed.contains(&(m.block, n))) {
+        if !claims.is_free(m.block, &m.nodes) {
             continue;
         }
         // Joint feasibility with the matches already accepted in this
@@ -73,9 +73,7 @@ pub fn prioritize(mut matches: Vec<PatternMatch>, mdes: &Mdes, dfgs: &[Dfg]) -> 
         if !supernodes_acyclic(&dfgs[m.block], &groups) {
             continue;
         }
-        for n in m.nodes.iter() {
-            claimed.insert((m.block, n));
-        }
+        claims.claim(m.block, &m.nodes);
         accepted.push(m);
     }
     accepted.sort_by(|a, b| {

@@ -30,13 +30,13 @@ use isax_compiler::{
     VliwModel,
 };
 use isax_explore::{explore_app_guarded, Candidate, ExploreConfig, ExploreStats};
-use isax_guard::{Budget, FaultPlan, Guard, Stage, StageReport};
+use isax_guard::{Budget, FaultPlan, Guard, Meter, Stage, StageReport};
 use isax_hwlib::HwLibrary;
 use isax_ir::dataflow::SolveStats;
 use isax_ir::{function_dfgs, Dfg, Program};
 use isax_select::{
-    combine, find_wildcard_partners, mark_subsumptions, select_greedy_metered, select_knapsack,
-    select_multifunction, selection_prov, CfuCandidate, SelectConfig, Selection,
+    combine, find_wildcard_partners, mark_subsumptions, select_greedy_metered,
+    select_multifunction_metered, selection_prov, CfuCandidate, SelectConfig, Selection,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -87,7 +87,7 @@ impl SharedContext {
                 beam_width: (run.beam_width > 0).then_some(run.beam_width),
                 ..ExploreConfig::default()
             },
-            closure_cap: 64,
+            closure_cap: isax_select::DEFAULT_CLOSURE_CAP,
             model: VliwModel::default(),
             check: run.check,
             budget: Budget {
@@ -371,16 +371,44 @@ impl Customizer {
     /// contained panic yields an empty selection. Both are recorded in
     /// [`Selection::report`].
     pub fn select(&self, app_name: &str, analysis: &Analysis, budget: f64) -> (Mdes, Selection) {
+        let scan = select_greedy_metered;
+        self.select_governed("select.greedy", scan, app_name, analysis, budget)
+    }
+
+    /// Selection with multifunction CFUs: wildcard-partner families are
+    /// offered as merged units at shared-hardware cost (the paper's §6
+    /// future-work item, implemented). Governed exactly like
+    /// [`Customizer::select`], one unit per unit evaluation.
+    pub fn select_multifunction(
+        &self,
+        app_name: &str,
+        analysis: &Analysis,
+        budget: f64,
+    ) -> (Mdes, Selection) {
+        let scan = select_multifunction_metered;
+        self.select_governed("select.multifunction", scan, app_name, analysis, budget)
+    }
+
+    /// The body both selection variants share: runs `scan` as a one-item
+    /// governed fan-out (inline, in the panic trap every stage uses), then
+    /// derives the select-stage provenance, emits the MDES and, at the
+    /// checkpoint, checks the MDES and the selection against the analysis.
+    fn select_governed(
+        &self,
+        span: &'static str,
+        scan: fn(&[CfuCandidate], &SelectConfig, &mut Meter) -> Selection,
+        app_name: &str,
+        analysis: &Analysis,
+        budget: f64,
+    ) -> (Mdes, Selection) {
         let _stage = isax_trace::span("pipeline.select");
-        let sel = {
-            let _s = isax_trace::span("select.greedy");
+        let mut sel = {
+            let _s = isax_trace::span(span);
             let cfg = SelectConfig::with_budget(budget);
-            // A fan-out of one item runs inline, inside the same panic
-            // trap as every other stage.
             let (mut trapped, degradations) = self.guard.fan_out(
                 Stage::Select,
                 1,
-                |_, meter| select_greedy_metered(&analysis.cfus, &cfg, meter),
+                |_, meter| scan(&analysis.cfus, &cfg, meter),
                 |_, sel| {
                     format!(
                         "kept {} CFUs chosen before the greedy scan stopped",
@@ -393,19 +421,6 @@ impl Customizer {
             sel
         };
         self.count_degradations("guard.select_degradations", &sel.report);
-        self.finish_selection(app_name, analysis, sel)
-    }
-
-    /// The tail every selection variant shares: derives the select-stage
-    /// provenance, emits the MDES, and at the checkpoint checks that the
-    /// MDES is legal for the machine and that the selection refers into
-    /// the analysis.
-    fn finish_selection(
-        &self,
-        app_name: &str,
-        analysis: &Analysis,
-        mut sel: Selection,
-    ) -> (Mdes, Selection) {
         sel.report.prov = selection_prov(&analysis.cfus, &sel);
         let mdes = Mdes::from_selection(app_name, &analysis.cfus, &sel, &self.hw, self.closure_cap);
         isax_trace::counter("select.cfus_selected", mdes.cfus.len() as u64);
@@ -423,36 +438,6 @@ impl Customizer {
         if self.guard.is_active() {
             isax_trace::counter(counter, report.degradations.len() as u64);
         }
-    }
-
-    /// Selection via the dynamic-programming ablation variant.
-    ///
-    /// Ablation variants run ungoverned: they are evaluation-only tools,
-    /// not part of the governed default pipeline.
-    pub fn select_dp(&self, app_name: &str, analysis: &Analysis, budget: f64) -> (Mdes, Selection) {
-        let _stage = isax_trace::span("pipeline.select");
-        let sel = {
-            let _s = isax_trace::span("select.knapsack");
-            select_knapsack(&analysis.cfus, &SelectConfig::with_budget(budget))
-        };
-        self.finish_selection(app_name, analysis, sel)
-    }
-
-    /// Selection with multifunction CFUs: wildcard-partner families are
-    /// offered as merged units at shared-hardware cost (the paper's §6
-    /// future-work item, implemented).
-    pub fn select_multifunction(
-        &self,
-        app_name: &str,
-        analysis: &Analysis,
-        budget: f64,
-    ) -> (Mdes, Selection) {
-        let _stage = isax_trace::span("pipeline.select");
-        let sel = {
-            let _s = isax_trace::span("select.multifunction");
-            select_multifunction(&analysis.cfus, &SelectConfig::with_budget(budget))
-        };
-        self.finish_selection(app_name, analysis, sel)
     }
 
     /// One-shot: analyze + select at a budget. The returned selection's
@@ -554,16 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn dp_selection_also_works() {
-        let p = crypto_kernel();
-        let cz = Customizer::new();
-        let analysis = cz.analyze(&p);
-        let (mdes, sel) = cz.select_dp("kern", &analysis, 15.0);
-        assert!(!mdes.cfus.is_empty());
-        assert!(sel.total_value > 0);
-    }
-
-    #[test]
     fn checked_pipeline_accepts_its_own_output() {
         let p = crypto_kernel();
         let mut cz = Customizer::new();
@@ -618,6 +593,20 @@ mod tests {
         // Downstream still produces a valid (baseline-equal) program.
         let ev = cz.evaluate(&p, &mdes, MatchOptions::exact());
         assert_eq!(ev.baseline_cycles, ev.custom_cycles);
+    }
+
+    #[test]
+    fn injected_multifunction_panic_is_contained_as_empty_selection() {
+        use isax_guard::{DegradationKind, FaultPlan};
+        let p = crypto_kernel();
+        let mut cz = Customizer::new();
+        cz.guard = Guard::unlimited().with_fault(FaultPlan::parse("select:panic:0").unwrap());
+        let analysis = cz.analyze(&p);
+        let (mdes, sel) = cz.select_multifunction("kern", &analysis, 15.0);
+        assert!(sel.chosen.is_empty());
+        assert_eq!(sel.report.degradations.len(), 1);
+        assert_eq!(sel.report.degradations[0].kind, DegradationKind::Panicked);
+        assert!(mdes.cfus.is_empty());
     }
 
     #[test]

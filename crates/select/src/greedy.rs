@@ -14,8 +14,8 @@
 //! are updated to reflect that they can now be added for very little
 //! overhead" (§3.4).
 
+use crate::claims::Claims;
 use crate::combine::CfuCandidate;
-use std::collections::HashSet;
 
 /// What the greedy comparator maximizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,22 +33,14 @@ pub struct SelectConfig {
     pub budget: f64,
     /// Greedy objective.
     pub objective: Objective,
-    /// Area charged for a candidate some already-selected CFU subsumes:
-    /// the hardware exists; only decode overhead remains.
-    pub subsumed_cost: f64,
-    /// Fraction of a candidate's area charged when a wildcard partner is
-    /// already selected (shared datapath, extra opcode mux).
-    pub wildcard_cost_factor: f64,
 }
 
 impl SelectConfig {
-    /// Budget-only constructor with the paper's defaults.
+    /// Budget-only constructor with the paper's value/cost objective.
     pub fn with_budget(budget: f64) -> Self {
         SelectConfig {
             budget,
             objective: Objective::ValuePerArea,
-            subsumed_cost: 0.05,
-            wildcard_cost_factor: 0.10,
         }
     }
 }
@@ -136,40 +128,22 @@ pub fn selection_prov(cfus: &[CfuCandidate], sel: &Selection) -> isax_prov::Prov
 
 /// Floor on any candidate's cost, so zero-area patterns (pure wiring)
 /// cannot produce infinite value/cost ratios.
-const MIN_COST: f64 = 0.05;
+pub(crate) const MIN_COST: f64 = 0.05;
+/// Area charged for a candidate some already-selected CFU subsumes: the
+/// hardware exists; only decode overhead remains.
+const SUBSUMED_COST: f64 = 0.05;
+/// Fraction of a candidate's area charged when a wildcard partner is
+/// already selected (shared datapath, extra opcode mux).
+pub(crate) const WILDCARD_COST_FACTOR: f64 = 0.10;
 
-/// Value the candidate would actually deliver if selected now: simulate
-/// the claiming pass over its occurrences, so occurrences of the *same*
-/// candidate that overlap each other (e.g. a pattern repeated with one
-/// shared operation) are not double counted.
-fn live_value(c: &CfuCandidate, claimed: &HashSet<(usize, usize)>) -> u64 {
-    let mut tentative: HashSet<(usize, usize)> = HashSet::new();
-    let mut total = 0;
-    for o in &c.occurrences {
-        let free = o
-            .nodes
-            .iter()
-            .all(|n| !claimed.contains(&(o.dfg, n)) && !tentative.contains(&(o.dfg, n)));
-        if free {
-            total += o.value();
-            for n in o.nodes.iter() {
-                tentative.insert((o.dfg, n));
-            }
-        }
-    }
-    total
-}
-
-fn charged_cost(idx: usize, cands: &[CfuCandidate], selected: &[usize], cfg: &SelectConfig) -> f64 {
+fn charged_cost(idx: usize, cands: &[CfuCandidate], chosen: &[SelectedCfu]) -> f64 {
     let area = cands[idx].area.max(MIN_COST);
-    if selected.iter().any(|&s| cands[s].subsumes.contains(&idx)) {
-        return cfg.subsumed_cost.max(MIN_COST);
+    let mut selected = chosen.iter().map(|s| &cands[s.candidate]);
+    if selected.clone().any(|s| s.subsumes.contains(&idx)) {
+        return SUBSUMED_COST;
     }
-    if selected
-        .iter()
-        .any(|&s| cands[s].wildcard_partners.contains(&idx))
-    {
-        return (area * cfg.wildcard_cost_factor).max(MIN_COST);
+    if selected.any(|s| s.wildcard_partners.contains(&idx)) {
+        return (area * WILDCARD_COST_FACTOR).max(MIN_COST);
     }
     area
 }
@@ -215,66 +189,86 @@ pub fn select_greedy_metered(
     cfg: &SelectConfig,
     meter: &mut isax_guard::Meter,
 ) -> Selection {
+    let cost = |members: &[usize], chosen: &[SelectedCfu]| charged_cost(members[0], cands, chosen);
+    greedy_scan(cands, &[], cfg, cost, meter)
+}
+
+/// The greedy scan every greedy selector runs, over selection units:
+/// each candidate alone, then each of `families` as a whole. A round
+/// evaluates every unit with no member selected yet — one work unit
+/// each, charged before the evaluation — at `cost(members, chosen)` and
+/// at the value its members' occurrences would claim, and takes the best
+/// by `cfg.objective` (ties: lower cost, then lower unit index). The
+/// winner takes each member's occurrences in turn and charges every
+/// member an equal share of its cost. Exhaustion mid-round discards the
+/// partial round, so the chosen list is a prefix of complete rounds.
+pub(crate) fn greedy_scan(
+    cands: &[CfuCandidate],
+    families: &[Vec<usize>],
+    cfg: &SelectConfig,
+    cost: impl Fn(&[usize], &[SelectedCfu]) -> f64,
+    meter: &mut isax_guard::Meter,
+) -> Selection {
     meter.touch();
-    let mut claimed: HashSet<(usize, usize)> = HashSet::new();
-    let mut selected_idx: Vec<usize> = Vec::new();
+    let singles: Vec<usize> = (0..cands.len()).collect();
+    let units: Vec<&[usize]> = singles
+        .iter()
+        .map(std::slice::from_ref)
+        .chain(families.iter().map(Vec::as_slice))
+        .collect();
+    let mut selected = vec![false; cands.len()];
+    let (mut claims, mut scratch) = (Claims::default(), Claims::default());
     let mut out = Selection::default();
     let mut remaining = cfg.budget;
     'rounds: loop {
-        let mut best: Option<(usize, u64, f64)> = None; // (idx, value, cost)
-        for (i, c) in cands.iter().enumerate() {
-            if selected_idx.contains(&i) {
+        let mut best: Option<(usize, u64, f64)> = None; // (unit, value, cost)
+        for (u, members) in units.iter().enumerate() {
+            if members.iter().any(|&m| selected[m]) {
                 continue;
             }
-            // A candidate evaluation (cost + live value) is one work
-            // unit. Exhaustion mid-scan discards the partial scan: the
-            // chosen list stays a prefix of complete greedy rounds.
             if !meter.charge(1) {
                 break 'rounds;
             }
-            let cost = charged_cost(i, cands, &selected_idx, cfg);
+            let cost = cost(members, &out.chosen);
             if cost > remaining {
                 continue;
             }
-            let value = live_value(c, &claimed);
+            let occurrences = members.iter().flat_map(|&m| &cands[m].occurrences);
+            let value = claims.live_value(occurrences, &mut scratch);
             if value == 0 {
                 continue;
             }
             let better = match best {
                 None => true,
-                Some((bi, bv, bc)) => {
+                Some((bu, bv, bc)) => {
                     let (a, b) = match cfg.objective {
                         Objective::ValuePerArea => (value as f64 * bc, bv as f64 * cost),
                         Objective::Value => (value as f64, bv as f64),
                     };
-                    a > b || (a == b && (cost < bc || (cost == bc && i < bi)))
+                    a > b || (a == b && (cost < bc || (cost == bc && u < bu)))
                 }
             };
             if better {
-                best = Some((i, value, cost));
+                best = Some((u, value, cost));
             }
         }
-        let Some((idx, value, cost)) = best else {
+        let Some((u, _, cost)) = best else {
             break;
         };
-        // Claim the operations of the surviving occurrences.
-        for o in &cands[idx].occurrences {
-            if o.nodes.iter().all(|n| !claimed.contains(&(o.dfg, n))) {
-                for n in o.nodes.iter() {
-                    claimed.insert((o.dfg, n));
-                }
-            }
+        let share = cost / units[u].len() as f64;
+        for &m in units[u] {
+            let value = claims.take(&cands[m].occurrences);
+            out.total_value += value;
+            out.chosen.push(SelectedCfu {
+                candidate: m,
+                priority: out.chosen.len(),
+                estimated_value: value,
+                charged_area: share,
+            });
+            selected[m] = true;
         }
         remaining -= cost;
         out.total_area += cost;
-        out.total_value += value;
-        out.chosen.push(SelectedCfu {
-            candidate: idx,
-            priority: out.chosen.len(),
-            estimated_value: value,
-            charged_area: cost,
-        });
-        selected_idx.push(idx);
     }
     out
 }
@@ -351,6 +345,38 @@ mod tests {
             &partial.chosen[..],
             "prefix of the ungoverned greedy order"
         );
+
+        // Multifunction scans the same singles plus the family {4, 5},
+        // which wins the first round (7 units) as a whole.
+        let mut cands = cands;
+        cands[4].wildcard_partners = vec![5];
+        cands[5].wildcard_partners = vec![4];
+        let mut meter = isax_guard::Meter::with_limit(isax_guard::Stage::Select, 0, 7);
+        let partial = crate::select_multifunction_metered(&cands, &cfg, &mut meter);
+        assert!(meter.exhausted());
+        assert_eq!(partial.candidate_indices(), vec![4, 5]);
+
+        type Metered = fn(&[CfuCandidate], &SelectConfig, &mut isax_guard::Meter) -> Selection;
+        let scans: [(&str, Metered); 2] = [
+            ("greedy", select_greedy_metered),
+            ("multifunction", crate::select_multifunction_metered),
+        ];
+        for (name, scan) in scans {
+            let mut unlimited = isax_guard::Meter::unlimited(isax_guard::Stage::Select, 0);
+            let full = scan(&cands, &cfg, &mut unlimited);
+            assert_eq!(full.chosen.len(), 6);
+            for limit in 0..40 {
+                let mut meter = isax_guard::Meter::with_limit(isax_guard::Stage::Select, 0, limit);
+                let partial = scan(&cands, &cfg, &mut meter);
+                let n = partial.chosen.len();
+                assert_eq!(&full.chosen[..n], &partial.chosen[..], "{name} at {limit}");
+                assert_eq!(
+                    n < full.chosen.len(),
+                    meter.exhausted(),
+                    "{name} at {limit}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //!
 //! The DP treats selection as a classic 0/1 knapsack over the candidates'
 //! *initial* (interaction-free) values with areas quantized to
-//! quarter-adders, then re-evaluates the chosen set with the same
-//! operation-claiming model the greedy uses, so reported values are
-//! honest. It remains a heuristic — the true problem has interacting
-//! values — but it escapes the greedy's worst local choices.
+//! quarter-adders, then re-evaluates the chosen set with the greedy's
+//! [`Claims`] ledger, so reported values are honest. It remains a
+//! heuristic — the true problem has interacting values — but it escapes
+//! the greedy's worst local choices.
 
+use crate::claims::Claims;
 use crate::combine::CfuCandidate;
-use crate::greedy::{SelectConfig, SelectedCfu, Selection};
-use std::collections::HashSet;
+use crate::greedy::{SelectConfig, SelectedCfu, Selection, MIN_COST};
 
 /// Area quantum for the DP table, in adders.
 const QUANTUM: f64 = 0.25;
@@ -52,7 +52,7 @@ pub fn select_knapsack(cands: &[CfuCandidate], cfg: &SelectConfig) -> Selection 
         return Selection::default();
     }
     let weight =
-        |c: &CfuCandidate| -> usize { ((c.area.max(0.05) / QUANTUM).ceil() as usize).max(1) };
+        |c: &CfuCandidate| -> usize { ((c.area.max(MIN_COST) / QUANTUM).ceil() as usize).max(1) };
     // dp[w] = (best value, chosen set as indices) — keep choices via a
     // parent table to avoid cloning vectors in the inner loop.
     let n = cands.len();
@@ -87,19 +87,11 @@ pub fn select_knapsack(cands: &[CfuCandidate], cfg: &SelectConfig) -> Selection 
     // Re-evaluate with interaction (claiming) in descending initial value
     // order, which becomes the replacement priority.
     chosen_idx.sort_by_key(|&i| std::cmp::Reverse(cands[i].estimated_value()));
-    let mut claimed: HashSet<(usize, usize)> = HashSet::new();
+    let mut claims = Claims::default();
     let mut out = Selection::default();
     for &i in &chosen_idx {
-        let mut value = 0u64;
-        for o in &cands[i].occurrences {
-            if o.nodes.iter().all(|nd| !claimed.contains(&(o.dfg, nd))) {
-                value += o.value();
-                for nd in o.nodes.iter() {
-                    claimed.insert((o.dfg, nd));
-                }
-            }
-        }
-        let area = cands[i].area.max(0.05);
+        let value = claims.take(&cands[i].occurrences);
+        let area = cands[i].area.max(MIN_COST);
         out.total_area += area;
         out.total_value += value;
         out.chosen.push(SelectedCfu {

@@ -7,7 +7,9 @@
 //! [greedy value/cost knapsack](greedy) (or the slower
 //! [dynamic-programming variant](knapsack)) picks the CFU set for a given
 //! die-area budget, iteratively re-pricing candidates as their operations
-//! are claimed.
+//! are claimed. Plain and [`multifunction`] selection run the same greedy
+//! scan over different selection units, and every selector records
+//! claimed operations in one [`Claims`] ledger.
 //!
 //! The output — a prioritized CFU list — is what the machine description
 //! generator in `isax-compiler` turns into a compiler-consumable MDES.
@@ -19,7 +21,7 @@
 //! use isax_hwlib::HwLibrary;
 //! use isax_ir::{function_dfgs, FunctionBuilder};
 //! use isax_select::{combine, mark_subsumptions, find_wildcard_partners,
-//!                   select_greedy, SelectConfig};
+//!                   select_greedy, SelectConfig, DEFAULT_CLOSURE_CAP};
 //!
 //! let mut fb = FunctionBuilder::new("kernel", 3);
 //! fb.set_entry_weight(5_000);
@@ -33,7 +35,7 @@
 //! let hw = HwLibrary::micron_018();
 //! let found = explore_app(&dfgs, &hw, &ExploreConfig::default());
 //! let mut cfus = combine(&dfgs, &found.candidates, &hw);
-//! mark_subsumptions(&mut cfus, 128);
+//! mark_subsumptions(&mut cfus, DEFAULT_CLOSURE_CAP);
 //! find_wildcard_partners(&mut cfus);
 //! let sel = select_greedy(&cfus, &SelectConfig::with_budget(3.0));
 //! assert!(!sel.chosen.is_empty());
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod combine;
 pub mod greedy;
 pub mod knapsack;
@@ -49,12 +52,13 @@ pub mod multifunction;
 pub mod subsume;
 pub mod wildcard;
 
+pub use claims::Claims;
 pub use combine::{combine, pattern_fingerprint, patterns_equivalent, CfuCandidate, Occurrence};
 pub use greedy::{
     select_greedy, select_greedy_metered, selection_prov, Objective, SelectConfig, SelectedCfu,
     Selection,
 };
 pub use knapsack::select_knapsack;
-pub use multifunction::{select_multifunction, wildcard_families};
+pub use multifunction::{select_multifunction, select_multifunction_metered, wildcard_families};
 pub use subsume::{contraction_closure, mark_subsumptions, DEFAULT_CLOSURE_CAP};
 pub use wildcard::find_wildcard_partners;

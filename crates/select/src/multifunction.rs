@@ -3,10 +3,11 @@
 //! §6: "In the future, we plan to ... incorporate multi-function CFUs
 //! into the selection process." Figures 8/9 estimate the *potential* of
 //! opcode-class hardware without charging for it; this module closes the
-//! loop: wildcard-partner families are offered to the greedy selector as
-//! single **merged units** whose cost models shared hardware — the
-//! dominant datapath plus a mux/decode increment per additional member —
-//! and whose value combines every member's occurrences.
+//! loop: wildcard-partner families are offered to the greedy scan of
+//! [`crate::greedy`] as **merged units** whose cost models shared
+//! hardware — the dominant datapath plus a mux/decode increment per
+//! additional member — and whose value combines every member's
+//! occurrences.
 //!
 //! A family is a connected component of the wildcard-partner graph (all
 //! members share one structure, differing at single nodes). Selecting a
@@ -14,15 +15,9 @@
 //! them as ordinary units, so the compiler needs no changes.
 
 use crate::combine::CfuCandidate;
-use crate::greedy::{SelectConfig, SelectedCfu, Selection};
-use std::collections::HashSet;
-
-/// One merged selection unit: a single CFU or a wildcard family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Unit {
-    /// Member candidate indices (one = plain CFU).
-    members: Vec<usize>,
-}
+use crate::greedy::{
+    greedy_scan, SelectConfig, SelectedCfu, Selection, MIN_COST, WILDCARD_COST_FACTOR,
+};
 
 /// Connected components of the wildcard-partner graph with two or more
 /// members.
@@ -45,30 +40,32 @@ pub fn wildcard_families(cands: &[CfuCandidate]) -> Vec<Vec<usize>> {
                 }
             }
         }
-        comp.sort_unstable();
-        families.push(comp);
+        if comp.len() >= 2 {
+            comp.sort_unstable();
+            families.push(comp);
+        }
     }
     families
 }
 
 /// Hardware cost of a family: the most expensive member's datapath plus a
 /// fraction of each additional member (operand muxes, opcode decode).
-fn family_area(members: &[usize], cands: &[CfuCandidate], cfg: &SelectConfig) -> f64 {
+fn family_area(members: &[usize], cands: &[CfuCandidate]) -> f64 {
     let mut areas: Vec<f64> = members.iter().map(|&i| cands[i].area).collect();
     areas.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
     let mut total = areas.first().copied().unwrap_or(0.0);
     for extra in &areas[1..] {
-        total += extra * cfg.wildcard_cost_factor;
+        total += extra * WILDCARD_COST_FACTOR;
     }
-    total.max(0.05)
+    total.max(MIN_COST)
 }
 
 /// Greedy selection over single CFUs **and** wildcard families.
 ///
-/// Uses the same value/cost objective and operation-claiming model as
-/// [`crate::select_greedy`]; a family's value is the summed live value of
-/// all members (members never overlap on operations — they are distinct
-/// patterns — but occurrences can, and claiming handles that).
+/// Runs the one greedy scan of [`crate::select_greedy`], with the same
+/// objective and [`crate::Claims`] ledger; a family's value is the summed
+/// live value of all members (members never overlap on operations — they
+/// are distinct patterns — but occurrences can, and claiming handles that).
 ///
 /// # Example
 ///
@@ -96,99 +93,26 @@ fn family_area(members: &[usize], cands: &[CfuCandidate], cfg: &SelectConfig) ->
 /// assert!(!sel.chosen.is_empty());
 /// ```
 pub fn select_multifunction(cands: &[CfuCandidate], cfg: &SelectConfig) -> Selection {
-    // Units: every single CFU, plus one merged unit per family.
-    let mut units: Vec<Unit> = (0..cands.len())
-        .map(|i| Unit { members: vec![i] })
-        .collect();
-    for fam in wildcard_families(cands) {
-        if fam.len() >= 2 {
-            units.push(Unit { members: fam });
-        }
-    }
-    let mut claimed: HashSet<(usize, usize)> = HashSet::new();
-    let mut selected_cands: HashSet<usize> = HashSet::new();
-    let mut out = Selection::default();
-    let mut remaining = cfg.budget;
-    loop {
-        let mut best: Option<(usize, u64, f64)> = None;
-        'unit: for (u, unit) in units.iter().enumerate() {
-            // Skip units with any already-selected member.
-            if unit.members.iter().any(|m| selected_cands.contains(m)) {
-                continue;
-            }
-            let cost = if unit.members.len() == 1 {
-                cands[unit.members[0]].area.max(0.05)
-            } else {
-                family_area(&unit.members, cands, cfg)
-            };
-            if cost > remaining {
-                continue;
-            }
-            // Live value: occurrences may overlap *across members* of one
-            // family, so claim greedily within the evaluation.
-            let mut tentative: HashSet<(usize, usize)> = HashSet::new();
-            let mut value = 0u64;
-            for &m in &unit.members {
-                for o in &cands[m].occurrences {
-                    let free = o.nodes.iter().all(|n| {
-                        !claimed.contains(&(o.dfg, n)) && !tentative.contains(&(o.dfg, n))
-                    });
-                    if free {
-                        value += o.value();
-                        for n in o.nodes.iter() {
-                            tentative.insert((o.dfg, n));
-                        }
-                    }
-                }
-            }
-            if value == 0 {
-                continue 'unit;
-            }
-            let better = match best {
-                None => true,
-                Some((bu, bv, bc)) => {
-                    let (lhs, rhs) = match cfg.objective {
-                        crate::greedy::Objective::ValuePerArea => {
-                            (value as f64 * bc, bv as f64 * cost)
-                        }
-                        crate::greedy::Objective::Value => (value as f64, bv as f64),
-                    };
-                    lhs > rhs || (lhs == rhs && (cost < bc || (cost == bc && u < bu)))
-                }
-            };
-            if better {
-                best = Some((u, value, cost));
-            }
-        }
-        let Some((u, _value, cost)) = best else {
-            break;
-        };
-        // Claim and record each member.
-        let members = units[u].members.clone();
-        let per_member_cost = cost / members.len() as f64;
-        for &m in &members {
-            let mut member_value = 0u64;
-            for o in &cands[m].occurrences {
-                if o.nodes.iter().all(|n| !claimed.contains(&(o.dfg, n))) {
-                    member_value += o.value();
-                    for n in o.nodes.iter() {
-                        claimed.insert((o.dfg, n));
-                    }
-                }
-            }
-            out.total_value += member_value;
-            out.chosen.push(SelectedCfu {
-                candidate: m,
-                priority: out.chosen.len(),
-                estimated_value: member_value,
-                charged_area: per_member_cost,
-            });
-            selected_cands.insert(m);
-        }
-        remaining -= cost;
-        out.total_area += cost;
-    }
-    out
+    let mut meter = isax_guard::Meter::unlimited(isax_guard::Stage::Select, 0);
+    select_multifunction_metered(cands, cfg, &mut meter)
+}
+
+/// [`select_multifunction`] under a work-unit meter: the greedy scan of
+/// [`crate::select_greedy_metered`] over every single CFU, costed at its
+/// plain area, then every wildcard family of two or more members, costed
+/// as shared hardware. One unit per unit evaluation; on exhaustion the
+/// units already chosen are returned, a prefix of the ungoverned order.
+pub fn select_multifunction_metered(
+    cands: &[CfuCandidate],
+    cfg: &SelectConfig,
+    meter: &mut isax_guard::Meter,
+) -> Selection {
+    let families = wildcard_families(cands);
+    let cost = |members: &[usize], _: &[SelectedCfu]| match members {
+        [m] => cands[*m].area.max(MIN_COST),
+        _ => family_area(members, cands),
+    };
+    greedy_scan(cands, &families, cfg, cost, meter)
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use isax_graph::{canon, par, DiGraph, NodeId};
 use isax_ir::DfgLabel;
 use std::collections::HashMap;
 
-/// Maximum closure size used when none is specified.
-pub const DEFAULT_CLOSURE_CAP: usize = 128;
+/// Cap on each CFU's contraction closure that every pipeline run uses.
+pub const DEFAULT_CLOSURE_CAP: usize = 64;
 
 /// True if node `v` of `pattern` can be bypassed, returning the internal
 /// pass-through producer if there is one (`None` means the passed value is

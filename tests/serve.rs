@@ -64,7 +64,14 @@ struct CliRef {
 /// Runs `isax customize` then `isax compile --emit` through the CLI
 /// library (the exact code path of the binary) and collects the four
 /// artifacts' bytes.
-fn cli_reference(dir: &Path, name: &str, text: &str, budget: f64, work: Option<u64>) -> CliRef {
+fn cli_reference(
+    dir: &Path,
+    name: &str,
+    text: &str,
+    budget: f64,
+    multifunction: bool,
+    work: Option<u64>,
+) -> CliRef {
     let kernel = dir.join(format!("{name}.isax"));
     let mdes_path = dir.join(format!("{name}.mdes.json"));
     let cprov_path = dir.join(format!("{name}.customize.prov.json"));
@@ -78,7 +85,7 @@ fn cli_reference(dir: &Path, name: &str, text: &str, budget: f64, work: Option<u
             budget,
             name: name.into(),
             out: Some(mdes_path.display().to_string()),
-            multifunction: false,
+            multifunction,
             flags: isax_cli::PipelineFlags {
                 work_budget: work,
                 prov_out: Some(cprov_path.display().to_string()),
@@ -112,12 +119,12 @@ fn cli_reference(dir: &Path, name: &str, text: &str, budget: f64, work: Option<u
     }
 }
 
-fn customize_request(name: &str, text: &str, work: Option<u64>) -> Request {
+fn customize_request(name: &str, text: &str, multifunction: bool, work: Option<u64>) -> Request {
     Request::Customize {
         kernel: text.to_string(),
         name: name.to_string(),
         budget: 15.0,
-        multifunction: false,
+        multifunction,
         work_budget: work,
     }
 }
@@ -149,7 +156,7 @@ fn concurrent_server_matches_serial_cli_on_all_kernels() {
     // happens before the server starts).
     let refs: Vec<CliRef> = kernels
         .iter()
-        .map(|(name, text)| cli_reference(&dir, name, text, 15.0, None))
+        .map(|(name, text)| cli_reference(&dir, name, text, 15.0, false, None))
         .collect();
 
     // Phase 2: one server, 4 concurrent clients, each client owns a
@@ -174,7 +181,7 @@ fn concurrent_server_matches_serial_cli_on_all_kernels() {
                     for i in (c..kernels.len()).step_by(n_clients) {
                         let (name, text) = &kernels[i];
                         let (cached, art) = client
-                            .artifacts(customize_request(name, text, None))
+                            .artifacts(customize_request(name, text, false, None))
                             .unwrap_or_else(|e| panic!("{name}: customize failed: {e}"));
                         assert!(!cached, "{name}: first customize must be a cold miss");
                         assert_eq!(
@@ -216,7 +223,7 @@ fn concurrent_server_matches_serial_cli_on_all_kernels() {
             for i in (c..kernels.len()).step_by(n_clients) {
                 let (name, text) = &kernels[i];
                 let (cached, art) = client
-                    .artifacts(customize_request(name, text, None))
+                    .artifacts(customize_request(name, text, false, None))
                     .unwrap_or_else(|e| panic!("{name}: warm customize failed: {e}"));
                 assert!(cached, "{name}: repeat customize must hit the cache");
                 assert_eq!(
@@ -340,7 +347,7 @@ fn protocol_errors_are_structured_and_nonfatal() {
     // The same connection still serves real work after all that.
     let (name, text) = &corpus()[0];
     let (cached, art) = client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect("server still serves after protocol abuse");
     assert!(!cached);
     assert!(art.mdes.is_some() && art.prov.is_some());
@@ -370,16 +377,26 @@ fn protocol_errors_are_structured_and_nonfatal() {
 /// Budget-exhausted requests return sound degraded artifacts with the
 /// `Degradation` records intact — byte-identical to the governed CLI —
 /// whether the budget came from the client or from the server's
-/// admission cap.
+/// admission cap, and with plain or multifunction selection (both run
+/// the governed greedy scan).
 #[test]
 fn budget_exhausted_requests_degrade_like_the_cli() {
     let _guard = TEST_LOCK.lock().unwrap();
-    let dir = scratch_dir("degrade");
-    // A paper kernel, governed so tightly exploration cannot finish.
+    degrade_like_the_cli(false);
+    degrade_like_the_cli(true);
+}
+
+fn degrade_like_the_cli(multifunction: bool) {
+    let dir = scratch_dir(if multifunction {
+        "degrade_mf"
+    } else {
+        "degrade"
+    });
+    // A paper kernel, governed so tightly the greedy scan cannot finish.
     let w = isax_workloads::by_name("crc").unwrap();
     let text = program_text(&w.program);
     let tight: u64 = 50;
-    let cli = cli_reference(&dir, "crc", &text, 15.0, Some(tight));
+    let cli = cli_reference(&dir, "crc", &text, 15.0, multifunction, Some(tight));
 
     // Client-requested budget.
     let server = Server::spawn(ServeConfig {
@@ -390,13 +407,13 @@ fn budget_exhausted_requests_degrade_like_the_cli() {
     .expect("server spawns");
     let mut client = Client::connect(server.addr()).unwrap();
     let (_, art) = client
-        .artifacts(customize_request("crc", &text, Some(tight)))
+        .artifacts(customize_request("crc", &text, multifunction, Some(tight)))
         .expect("governed customize succeeds");
     assert_eq!(art.mdes.as_deref(), Some(cli.mdes.as_str()));
     assert_eq!(art.prov.as_deref(), Some(cli.customize_prov.as_str()));
     assert!(
         !art.degraded.is_empty(),
-        "50 units cannot finish exploration; Degradation records must survive"
+        "50 units cannot finish the greedy scan; Degradation records must survive"
     );
     for d in &art.degraded {
         assert!(
@@ -422,7 +439,7 @@ fn budget_exhausted_requests_degrade_like_the_cli() {
     .expect("server spawns");
     let mut client = Client::connect(server.addr()).unwrap();
     let (_, art) = client
-        .artifacts(customize_request("crc", &text, None))
+        .artifacts(customize_request("crc", &text, multifunction, None))
         .expect("admission-capped customize succeeds");
     assert_eq!(
         art.mdes.as_deref(),
@@ -432,7 +449,12 @@ fn budget_exhausted_requests_degrade_like_the_cli() {
     assert!(!art.degraded.is_empty());
     // A request asking for *more* than the cap is clamped down to it.
     let (cached, art) = client
-        .artifacts(customize_request("crc", &text, Some(tight * 1000)))
+        .artifacts(customize_request(
+            "crc",
+            &text,
+            multifunction,
+            Some(tight * 1000),
+        ))
         .expect("over-cap request is admitted clamped");
     assert!(cached, "clamped request shares the capped cache entry");
     assert_eq!(art.mdes.as_deref(), Some(cli.mdes.as_str()));
@@ -465,16 +487,16 @@ fn env_governed_results_are_keyed_by_their_guard_and_deadlines_never_cached() {
         ..Default::default()
     });
     let (_, governed) = client
-        .artifacts(customize_request("crc", &text, None))
+        .artifacts(customize_request("crc", &text, false, None))
         .expect("context-governed customize succeeds");
     assert!(!governed.degraded.is_empty(), "50 units cannot finish");
     let (cached, explicit) = client
-        .artifacts(customize_request("crc", &text, Some(50)))
+        .artifacts(customize_request("crc", &text, false, Some(50)))
         .expect("explicitly budgeted customize succeeds");
     assert!(cached, "the same effective guard must hit the same entry");
     assert_eq!(explicit.mdes, governed.mdes);
     let (cached, full) = client
-        .artifacts(customize_request("crc", &text, Some(1 << 40)))
+        .artifacts(customize_request("crc", &text, false, Some(1 << 40)))
         .expect("generously budgeted customize succeeds");
     assert!(!cached, "a 2^40-unit run must not hit the 50-unit entry");
     assert!(full.degraded.is_empty(), "{:?}", full.degraded);
@@ -486,7 +508,7 @@ fn env_governed_results_are_keyed_by_their_guard_and_deadlines_never_cached() {
     });
     for i in 0..2 {
         let (cached, art) = client
-            .artifacts(customize_request("crc", &text, Some(1 << 40)))
+            .artifacts(customize_request("crc", &text, false, Some(1 << 40)))
             .expect("deadline-governed customize succeeds");
         assert!(!cached, "request {i}: a deadline result was replayed");
         assert!(
@@ -517,7 +539,7 @@ fn backpressure_and_stats_sink() {
     let mut client = Client::connect(server.addr()).unwrap();
     let (name, text) = &corpus()[0];
     let err = client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect_err("zero-capacity queue must reject work");
     assert_eq!(err.code, ErrorCode::Busy);
     // Control plane still answers while the data plane is saturated.
@@ -551,14 +573,14 @@ fn run_metrics_script(server: &Server, kernels: &[(String, String)]) -> (String,
     // Two cold customizes, then a repeat (a cache hit).
     for (name, text) in &kernels[..2] {
         let (cached, art) = client
-            .artifacts(customize_request(name, text, None))
+            .artifacts(customize_request(name, text, false, None))
             .unwrap_or_else(|e| panic!("{name}: customize failed: {e}"));
         assert!(!cached);
         assert!(art.mdes.is_some());
     }
     let (name, text) = &kernels[0];
     let (cached, _) = client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect("warm customize succeeds");
     assert!(cached);
     // One malformed frame and one parse error, so per-code counters
@@ -653,10 +675,10 @@ fn access_log_records_every_request_exactly_once() {
     let mut client = Client::connect(server.addr()).unwrap();
     let (name, text) = &corpus()[0];
     client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect("cold customize");
     let (cached, _) = client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect("warm customize");
     assert!(cached);
     let _ = client.send_raw("not json").expect("transport ok");
@@ -736,7 +758,7 @@ fn access_log_records_every_request_exactly_once() {
     .expect("server spawns");
     let mut client = Client::connect(server.addr()).unwrap();
     let err = client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect_err("zero-capacity queue rejects");
     assert_eq!(err.code, ErrorCode::Busy);
     assert_eq!(server.access_log_lines(), 1);
@@ -766,7 +788,7 @@ fn telemetry_never_changes_artifacts_and_metrics_out_is_written() {
     .expect("server spawns");
     let mut client = Client::connect(server.addr()).unwrap();
     let (_, plain) = client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect("customize without telemetry");
     server.shutdown();
 
@@ -782,7 +804,7 @@ fn telemetry_never_changes_artifacts_and_metrics_out_is_written() {
     .expect("server spawns");
     let mut client = Client::connect(server.addr()).unwrap();
     let (_, traced) = client
-        .artifacts(customize_request(name, text, None))
+        .artifacts(customize_request(name, text, false, None))
         .expect("customize with telemetry");
     server.shutdown();
 
