@@ -1,9 +1,12 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! Shared plumbing for the figure-regeneration binaries and the `bench`
+//! measurement harness.
 //!
-//! Every binary in `src/bin/` regenerates one evaluation artifact of the
-//! paper (see `DESIGN.md`'s experiment index). This library holds the
+//! Every figure binary in `src/bin/` regenerates one evaluation artifact
+//! of the paper (see `DESIGN.md`'s experiment index); `bench` writes the
+//! `BENCH_*.json` files and runs the CI gate. This library holds the
 //! pieces they share: an analysis cache (exploration is budget-independent
-//! and expensive), the budget axis, and small table-printing helpers.
+//! and expensive), the budget axis, the extended corpus, and small
+//! table-printing helpers.
 
 #![forbid(unsafe_code)]
 
@@ -35,47 +38,23 @@ pub struct AnalyzedApp {
 /// threads (see [`isax_graph::par`]); collecting into a `BTreeMap` keyed
 /// by name makes the result order-independent anyway.
 pub fn analyze_suite(cz: &Customizer) -> BTreeMap<&'static str, AnalyzedApp> {
-    analyze_suite_timed(cz).0
-}
-
-/// [`analyze_suite`], also reporting per-benchmark analyze wall-clock
-/// seconds. The times are measured inside the worker, so on a serial run
-/// they attribute the whole stage; on a parallel run they still measure
-/// each kernel's own work (not the stage barrier).
-pub fn analyze_suite_timed(
-    cz: &Customizer,
-) -> (
-    BTreeMap<&'static str, AnalyzedApp>,
-    BTreeMap<&'static str, f64>,
-) {
-    let workloads = all();
-    let analyses = isax_graph::par::par_map(&workloads, |w| {
-        let t = std::time::Instant::now();
-        let analysis = cz.analyze(&w.program);
-        (analysis, t.elapsed().as_secs_f64())
-    });
-    let mut apps = BTreeMap::new();
-    let mut times = BTreeMap::new();
-    for (w, (analysis, seconds)) in workloads.into_iter().zip(analyses) {
-        times.insert(w.name, seconds);
-        apps.insert(
-            w.name,
-            AnalyzedApp {
-                workload: w,
-                analysis,
-            },
-        );
-    }
-    (apps, times)
+    analyze_workloads(cz, all())
 }
 
 /// Analyzes a named subset of the suite (for tests that cannot afford
 /// all thirteen benchmarks). Unknown names panic.
 pub fn analyze_subset(cz: &Customizer, names: &[&str]) -> BTreeMap<&'static str, AnalyzedApp> {
-    let workloads: Vec<Workload> = names
+    let workloads = names
         .iter()
         .map(|n| by_name(n).unwrap_or_else(|| panic!("unknown workload `{n}`")))
         .collect();
+    analyze_workloads(cz, workloads)
+}
+
+fn analyze_workloads(
+    cz: &Customizer,
+    workloads: Vec<Workload>,
+) -> BTreeMap<&'static str, AnalyzedApp> {
     let analyses = isax_graph::par::par_map(&workloads, |w| cz.analyze(&w.program));
     workloads
         .into_iter()
@@ -92,7 +71,7 @@ pub fn analyze_subset(cz: &Customizer, names: &[&str]) -> BTreeMap<&'static str,
         .collect()
 }
 
-/// One member of the extended timing corpus: a program plus the domain
+/// One member of the extended corpus: a program plus the domain
 /// tag it carries into `BENCH_pipeline.json` and, for the pathological
 /// stress kernels, the work-unit budget that keeps their analysis
 /// bounded.
@@ -119,7 +98,7 @@ impl BenchKernel {
     }
 }
 
-/// Work-unit budget for the stress corpus inside the timing run — the
+/// Work-unit budget for the stress corpus inside the bench runs — the
 /// same bound the provenance CI lane uses, so the analysis terminates
 /// in seconds instead of hours while still exercising governed paths.
 pub const STRESS_TIMING_BUDGET: u64 = 100_000;
@@ -127,23 +106,7 @@ pub const STRESS_TIMING_BUDGET: u64 = 100_000;
 /// Display/report order of the corpus domains.
 pub const DOMAINS: [&str; 5] = ["paper", "stress", "graph", "dsp", "gen"];
 
-/// Physical parallelism of the measuring host.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// True when a parallel measurement cannot demonstrate real speedup:
-/// either the host has fewer than two CPUs (there is nothing to scale
-/// onto — the "parallel" run is the serial run with extra scheduling)
-/// or the run uses more workers than CPUs (time-slicing, so wall clock
-/// measures contention, not scaling). Both `BENCH_pipeline.json` and
-/// `BENCH_serve.json` carry this flag so downstream tooling knows the
-/// throughput numbers only demonstrate determinism.
-pub fn oversubscribed(threads: usize, cpus: usize) -> bool {
-    cpus < 2 || threads > cpus
-}
-
-/// The full timing corpus: the 13 paper workloads, the governed stress
+/// The extended corpus: the 13 paper workloads, the governed stress
 /// corpus, the curated graph/dsp kernels, and every seeded generator
 /// kernel recorded in `kernels/gen/MANIFEST.json` (regenerated
 /// in-process from its recipe, so this needs no file besides the

@@ -5,7 +5,7 @@
 //! shifts whose amount is provably out of the architectural range,
 //! compares with a statically known outcome, definitions nothing reads,
 //! operations that fold to a constant, and blocks no path reaches. All
-//! lints are [`Severity::Warning`]s — they never fail a checkpoint — so
+//! lints are [`Severity::Warning`](crate::Severity::Warning)s — they never fail a checkpoint — so
 //! `isax lint` can run over arbitrary kernels without gating the
 //! pipeline.
 //!
@@ -14,7 +14,7 @@
 //! interpreter run and demands that every concrete register definition
 //! lie inside the statically computed interval and agree with the known
 //! bits. A violation means the dataflow solver itself is unsound, which
-//! is an [`Severity::Error`] (`IC0810`/`IC0811`).
+//! is an [`Severity::Error`](crate::Severity::Error) (`IC0810`/`IC0811`).
 //!
 //! # Example
 //!

@@ -416,9 +416,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
         "lint" => Ok(Command::Lint { file }),
         "customize" => {
             let budget = match flag_value(rest, "--budget") {
-                Some(b) => b
-                    .parse::<f64>()
-                    .map_err(|_| UsageError(format!("bad --budget `{b}`")))?,
+                Some(b) => isax::config::parse_area_budget(b)
+                    .map_err(|e| UsageError(format!("bad --budget `{b}` ({e})")))?,
                 None => 15.0,
             };
             let name = flag_value(rest, "--name")
@@ -1377,6 +1376,14 @@ mod tests {
             Some(5000)
         );
         assert!(parse_args(&argv("explore k.isax --work-budget nope")).is_err());
+        for bad in ["nan", "-1", "inf", "1e999", "abc"] {
+            let err = parse_args(&argv(&format!("customize k.isax --budget {bad}"))).unwrap_err();
+            assert!(err.0.contains("--budget"), "{bad}: {}", err.0);
+        }
+        for (ok, want) in [("0", 0.0), ("15", 15.0)] {
+            let c = parse_args(&argv(&format!("customize k.isax --budget {ok}"))).unwrap();
+            assert!(matches!(c, Command::Customize { budget, .. } if budget == want));
+        }
         assert_eq!(
             flags("compile k.isax --mdes m.json --work-budget 12").work_budget,
             Some(12)

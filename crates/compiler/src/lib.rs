@@ -7,7 +7,7 @@
 //! 1. [matches](matching) every CFU pattern (exactly, via subsumed
 //!    contractions, or via opcode-class wildcards) in the application's
 //!    dataflow graphs with a VF2 engine,
-//! 2. [prioritizes](prioritize) the matches in CFU selection order so
+//! 2. [prioritizes](mod@prioritize) the matches in CFU selection order so
 //!    each operation joins the most valuable unit,
 //! 3. [replaces](replace) the chosen subgraphs with custom instructions,
 //!    reordering code safely (convexity + anti-dependence aware),
@@ -15,8 +15,9 @@
 //!    fp / mem / branch slot; CFUs share the integer slot) and
 //!    [allocates registers](regalloc).
 //!
-//! The top-level [`compile`] driver produces cycle estimates whose ratios
-//! are the speedups reported throughout the paper's evaluation.
+//! The top-level [`compile`](fn@compile) entry point produces cycle
+//! estimates whose ratios are the speedups reported throughout the
+//! paper's evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -91,6 +91,18 @@ pub fn parse_number<T: FromStr>(v: &str) -> Result<T, String> {
         .map_err(|_| "want a non-negative integer".to_string())
 }
 
+/// The area-budget grammar: a finite number of adders, zero or more.
+///
+/// # Errors
+///
+/// A short reason, for the caller to prefix with what was being parsed.
+pub fn parse_area_budget(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(b) if b.is_finite() && b >= 0.0 => Ok(b),
+        _ => Err("want a finite number of adders, 0 or more".to_string()),
+    }
+}
+
 /// The on/off grammar: [`parse_env_value`]'s off and on sets; its path
 /// form is a typo here.
 fn parse_switch(v: &str) -> Result<bool, String> {

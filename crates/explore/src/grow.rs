@@ -28,7 +28,7 @@
 //!   [`metrics_of`] (pinned by the equivalence proptests), with no graph
 //!   materialization and no hashing.
 //! * Canonical identity is two-tier: a **cheap structural key**
-//!   ([`SubgraphEval::cheap_key`], an order-independent mix of label
+//!   (`SubgraphEval::cheap_key`, an order-independent mix of label
 //!   keys, internal edges and path depths) dedups provenance events to
 //!   one per (shape, kind) per DFG, and the full `canon` fingerprint is
 //!   computed once per cheap key, at the shape's first event. With

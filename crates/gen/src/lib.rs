@@ -6,9 +6,9 @@
 //!
 //! * [`stress`] — the pathological explorer-stress corpus, ported
 //!   byte-identically from the retired `kernels/stress/generate.py`;
-//! * [`curated`] — hand-designed graph-traversal and video/DSP kernels
+//! * [`curated`](mod@curated) — hand-designed graph-traversal and video/DSP kernels
 //!   with independent Rust reference oracles;
-//! * [`generate`] — a seeded random program generator, parameterized by
+//! * [`generate`](mod@generate) — a seeded random program generator, parameterized by
 //!   [`profile::GenDomain`], that emits verifier-clean, lint-clean,
 //!   terminating multi-block `.isax` programs from a few to thousands
 //!   of blocks.

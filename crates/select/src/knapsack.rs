@@ -47,12 +47,15 @@ const QUANTUM: f64 = 0.25;
 /// assert!(sel.total_area <= 2.0 + 1e-9);
 /// ```
 pub fn select_knapsack(cands: &[CfuCandidate], cfg: &SelectConfig) -> Selection {
-    let capacity = (cfg.budget / QUANTUM).floor() as usize;
-    if capacity == 0 || cands.is_empty() {
-        return Selection::default();
-    }
     let weight =
         |c: &CfuCandidate| -> usize { ((c.area.max(MIN_COST) / QUANTUM).ceil() as usize).max(1) };
+    // A budget past the candidates' total area fits every one of them, so
+    // the table never needs more columns than that total.
+    let total: usize = cands.iter().map(weight).sum();
+    let capacity = ((cfg.budget / QUANTUM).floor() as usize).min(total);
+    if capacity == 0 {
+        return Selection::default();
+    }
     // dp[w] = (best value, chosen set as indices) — keep choices via a
     // parent table to avoid cloning vectors in the inner loop.
     let n = cands.len();
@@ -175,6 +178,25 @@ mod tests {
         let sel = select_knapsack(&[a, b], &SelectConfig::with_budget(10.0));
         // Even if the DP packs both, the claimed value counts once.
         assert_eq!(sel.total_value, 100);
+    }
+
+    #[test]
+    fn huge_budgets_select_as_the_total_area_does() {
+        let cands = [
+            cand(1.0, vec![(vec![0], 10, 1)]),
+            cand(1.5, vec![(vec![1], 20, 1)]),
+            cand(2.25, vec![(vec![1, 2], 30, 1)]),
+            cand(0.5, vec![(vec![3], 0, 1)]),
+        ];
+        let total: f64 = cands.iter().map(|c| c.area).sum();
+        let at_total = select_knapsack(&cands, &SelectConfig::with_budget(total));
+        assert_eq!(at_total.chosen.len(), 3, "every positive-value candidate");
+        for budget in [f64::INFINITY, 1e9] {
+            assert_eq!(
+                select_knapsack(&cands, &SelectConfig::with_budget(budget)),
+                at_total
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Candidate combination and custom-function-unit selection.
 //!
 //! This crate implements §3.3–§3.4 of the paper: discovered candidate
-//! subgraphs are [grouped](combine) into CFU candidates by
+//! subgraphs are [grouped](mod@combine) into CFU candidates by
 //! commutativity-aware graph equivalence; [subsumption](subsume) and
 //! [`wildcard`] relationships between CFUs are recorded; and a
 //! [greedy value/cost knapsack](greedy) (or the slower

@@ -1,4 +1,4 @@
-//! A small blocking client, used by the differential tests, `loadgen`
+//! A small blocking client, used by the differential tests, `bench serve`
 //! and anything else that wants to talk to an `isax serve` instance
 //! from Rust without hand-rolling the framing.
 

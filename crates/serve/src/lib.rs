@@ -21,7 +21,7 @@
 //! - [`telemetry`] — deterministic request ids, the structured access
 //!   log, latency histograms and the metrics registry behind the
 //!   Prometheus-text `metrics` exposition;
-//! - [`client`] — a small blocking client for tests and `loadgen`.
+//! - [`client`] — a small blocking client for tests and `bench serve`.
 //!
 //! The correctness claim is external: `tests/serve.rs` (repo root)
 //! proves every artifact a concurrent server returns is byte-identical

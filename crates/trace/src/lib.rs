@@ -32,6 +32,9 @@
 //!    Wall-clock timing is inherently nondeterministic and is therefore
 //!    excluded from every compared artifact (`BENCH_pipeline.json`
 //!    carries counters, never span durations, in its compared fields).
+//!    The `par.*` group is the one exception: `par.workers_spawned`
+//!    counts threads, so the `bench` harness leaves that group out when
+//!    it compares a serial run's counter ledger with a 4-thread run's.
 //!
 //! The `guard.*` counter group (`guard.explore_degradations`,
 //! `guard.select_degradations`, `guard.compile_degradations`) follows

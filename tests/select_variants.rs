@@ -4,8 +4,10 @@
 //! selected at area budgets 2, 15, 60 and unbounded by each selector:
 //! greedy (`Customizer::select`), multifunction
 //! (`Customizer::select_multifunction`) and the dynamic-programming
-//! knapsack (`select_knapsack`, its budget capped at 400 adders because
-//! its table has one column per quarter adder). One line per (kernel,
+//! knapsack (`select_knapsack`, its budget capped at 400 adders: its
+//! table holds a row per candidate and a column per quarter adder up to
+//! the pool's total area, too large to build for the biggest pools
+//! unbounded). One line per (kernel,
 //! budget) records, per selector, a hash of the MDES JSON, every chosen
 //! `(candidate, priority, estimated_value, charged_area bits)` and the
 //! selection totals. The lines must equal `tests/golden/select_variants.txt`
