@@ -438,10 +438,7 @@ fn serve() {
     let requests: Vec<(String, String, Option<u64>)> = extended_corpus()
         .into_iter()
         .take(SERVE_KERNELS)
-        .map(|k| {
-            let text: Vec<String> = k.program.functions.iter().map(|f| f.to_string()).collect();
-            (k.name, text.join("\n"), k.work_budget)
-        })
+        .map(|k| (k.name, k.program.functions_text(), k.work_budget))
         .collect();
     let workers = thread_count();
     let server = Server::spawn(ServeConfig {

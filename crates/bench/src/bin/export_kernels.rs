@@ -13,15 +13,8 @@ fn main() -> std::io::Result<()> {
     let dir = std::path::Path::new("kernels");
     std::fs::create_dir_all(dir)?;
     for w in isax_workloads::all() {
-        let text: String = w
-            .program
-            .functions
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n");
         let path = dir.join(format!("{}.isax", w.name));
-        std::fs::write(&path, text)?;
+        std::fs::write(&path, w.program.functions_text())?;
         println!("wrote {}", path.display());
     }
     Ok(())

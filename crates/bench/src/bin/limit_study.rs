@@ -13,8 +13,8 @@
 
 #![forbid(unsafe_code)]
 
-use isax::{limit_speedup, Customizer};
-use isax_bench::{analyze_suite, native, HEADLINE_BUDGET};
+use isax::Customizer;
+use isax_bench::{analyze_suite, limit, native, HEADLINE_BUDGET};
 
 fn main() {
     let _trace = isax_trace::init_from_env();
@@ -27,13 +27,13 @@ fn main() {
     );
     for (name, app) in &suite {
         let constrained = native(&cz, app, HEADLINE_BUDGET);
-        let limit = limit_speedup(&cz, name, &app.workload.program);
+        let limit = limit(&cz, name, &app.workload.program);
         println!(
             "{:<11} {:>11.2}x {:>8.2}x {:>9.1}%",
             name,
             constrained,
-            limit.speedup,
-            (limit.speedup / constrained - 1.0) * 100.0
+            limit,
+            (limit / constrained - 1.0) * 100.0
         );
     }
     println!("\n(gap = ideal headroom left by the 5-in/3-out, 15-adder constraints)");

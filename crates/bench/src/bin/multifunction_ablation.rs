@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use isax::{Customizer, MatchMode, MatchOptions};
+use isax::{Customizer, MatchOptions};
 use isax_bench::analyze_suite;
 
 fn main() {
@@ -44,10 +44,7 @@ fn main() {
                 .evaluate(
                     &app.workload.program,
                     &multi_mdes,
-                    MatchOptions {
-                        mode: MatchMode::Wildcard,
-                        allow_subsumed: true,
-                    },
+                    MatchOptions::generalized(),
                 )
                 .speedup;
             println!("{name:<11} {plain:>7.2}x {multi:>9.2}x {multi_class:>11.2}x");

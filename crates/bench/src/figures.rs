@@ -8,7 +8,7 @@
 //! byte-compares small-kernel snapshots against `tests/golden/`.
 
 use crate::AnalyzedApp;
-use isax::{Customizer, MatchMode, MatchOptions};
+use isax::{Customizer, MatchOptions};
 use isax_explore::{explore_dfg, explore_dfg_naive, ExploreConfig};
 use isax_hwlib::HwLibrary;
 use isax_ir::{function_dfgs, Program};
@@ -207,10 +207,7 @@ pub fn figure8_9_table(
             let bar = |m: MatchOptions| crate::cross(cz, src, app, budget, m);
             let exact = bar(MatchOptions::exact());
             let subsumed = bar(MatchOptions::with_subsumed());
-            let wild = bar(MatchOptions {
-                mode: MatchMode::Wildcard,
-                allow_subsumed: false,
-            });
+            let wild = bar(MatchOptions::from_flags(false, true));
             let wild_sub = bar(MatchOptions::generalized());
             let _ = writeln!(
                 out,

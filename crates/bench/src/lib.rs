@@ -201,7 +201,109 @@ pub fn cross(
     cz.evaluate(&app.workload.program, &mdes, matching).speedup
 }
 
+/// The in-text limit study's speedup of `program`: unconstrained ports
+/// and area.
+///
+/// The candidate pool is the **union** of the default (constrained)
+/// exploration and the unconstrained one, so the limit is a true upper
+/// bound on the constrained result: the unconstrained walk tapers
+/// aggressively to stay tractable on wide blocks and could otherwise
+/// miss mid-sized candidates the constrained search covers exhaustively.
+pub fn limit(cz: &Customizer, app_name: &str, program: &isax_ir::Program) -> f64 {
+    use isax_select::{
+        combine, find_wildcard_partners, mark_subsumptions, select_greedy, SelectConfig,
+    };
+
+    let mut dfgs = Vec::new();
+    for f in &program.functions {
+        dfgs.extend(isax_ir::function_dfgs(f));
+    }
+    let base = isax_explore::explore_app(&dfgs, &cz.hw, &cz.explore);
+    let wide =
+        isax_explore::explore_app(&dfgs, &cz.hw, &isax_explore::ExploreConfig::unconstrained());
+    // Union, deduplicated by (dfg, node set) so occurrence values are not
+    // double counted.
+    let mut seen = std::collections::HashSet::new();
+    let mut candidates = Vec::new();
+    for c in base.candidates.into_iter().chain(wide.candidates) {
+        if seen.insert((c.dfg, c.nodes.clone())) {
+            candidates.push(c);
+        }
+    }
+    let mut cfus = combine(&dfgs, &candidates, &cz.hw);
+    mark_subsumptions(&mut cfus, cz.closure_cap);
+    find_wildcard_partners(&mut cfus);
+    let sel = select_greedy(&cfus, &SelectConfig::with_budget(f64::INFINITY));
+    let mut mdes = isax::Mdes::from_selection(app_name, &cfus, &sel, &cz.hw, cz.closure_cap);
+    // Lift the machine port limits too.
+    mdes.max_inputs = u8::MAX;
+    mdes.max_outputs = u8::MAX;
+    cz.evaluate(program, &mdes, MatchOptions::exact()).speedup
+}
+
 /// Prints a speedup table: one row per series, one column per budget.
 pub fn print_series(title: &str, rows: &[(String, Vec<f64>)]) {
     print!("{}", figures::render_series(title, &BUDGETS, rows));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use isax_ir::{FunctionBuilder, Program};
+
+    fn kernel(name: &str, flavor: u32) -> Program {
+        let mut fb = FunctionBuilder::new(name, 3);
+        fb.set_entry_weight(20_000);
+        let (a, b, k) = (fb.param(0), fb.param(1), fb.param(2));
+        let t = fb.xor(a, k);
+        let u = fb.shl(t, (3 + flavor as i64) % 8);
+        let v = if flavor.is_multiple_of(2) {
+            fb.add(u, b)
+        } else {
+            fb.sub(u, b)
+        };
+        let w = fb.and(v, 0xFFFFi64);
+        fb.ret(&[w.into()]);
+        Program::new(vec![fb.finish()])
+    }
+
+    /// A suite entry for a hand-built kernel (the workload's memory and
+    /// argument hooks are never called here).
+    fn app(cz: &Customizer, name: &'static str, flavor: u32) -> AnalyzedApp {
+        let mut workload = by_name("crc").expect("crc is in the suite");
+        workload.name = name;
+        workload.program = kernel(name, flavor);
+        let analysis = cz.analyze(&workload.program);
+        AnalyzedApp { workload, analysis }
+    }
+
+    #[test]
+    fn identical_kernels_transfer_fully() {
+        let cz = Customizer::new();
+        let (a, b) = (app(&cz, "appa", 0), app(&cz, "appb", 0));
+        let native = native(&cz, &a, 15.0);
+        assert!(native > 1.0);
+        let cross = cross(&cz, &a, &b, 15.0, MatchOptions::exact());
+        assert!(cross >= native * 0.99, "{cross} < {native}");
+    }
+
+    #[test]
+    fn wildcards_recover_cross_losses() {
+        let cz = Customizer::new();
+        // `appb` uses sub and a different shift amount.
+        let (a, b) = (app(&cz, "appa", 0), app(&cz, "appb", 1));
+        let exact = cross(&cz, &a, &b, 15.0, MatchOptions::exact());
+        let wild = cross(&cz, &a, &b, 15.0, MatchOptions::generalized());
+        assert!(wild >= exact, "wildcard {wild} < exact {exact}");
+        assert!(wild > 1.0);
+    }
+
+    #[test]
+    fn limit_dominates_the_constrained_result() {
+        let cz = Customizer::new();
+        let a = app(&cz, "app", 0);
+        let constrained = native(&cz, &a, 15.0);
+        let limit = limit(&cz, "app", &a.workload.program);
+        assert!(limit >= constrained * 0.999, "{limit} < {constrained}");
+    }
 }

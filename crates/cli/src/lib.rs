@@ -19,7 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use isax::{Customizer, MatchMode, MatchOptions, Mdes, RunConfig, SharedContext};
+use isax::{Customizer, MatchOptions, Mdes, RunConfig, SharedContext};
 use isax_ir::{parse_program, Program};
 use isax_machine::Memory;
 use isax_prov::EnvMode;
@@ -420,14 +420,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                     .map_err(|e| UsageError(format!("bad --budget `{b}` ({e})")))?,
                 None => 15.0,
             };
-            let name = flag_value(rest, "--name")
-                .map(str::to_string)
-                .unwrap_or_else(|| {
-                    std::path::Path::new(&file)
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| "app".into())
-                });
+            let name = flag_value(rest, "--name").map_or_else(|| app_name(&file), str::to_string);
             Ok(Command::Customize {
                 file,
                 budget,
@@ -557,32 +550,30 @@ fn pipeline(
     Ok((cz, run.prov, recording))
 }
 
-/// Builds the provenance report from a merged log and delivers it to
-/// `sink` (a one-line summary on the command output, or a JSON report
-/// file); with `check` set, cross-validates it first (IC07xx).
+/// Delivers a merged log's provenance to `sink`: a one-line summary on
+/// the command output, or the [`Customizer::provenance_report`] file.
+/// With `cz.check` set the report is built and cross-checked (IC07xx)
+/// for the summary too.
 fn emit_prov(
     out: &mut dyn std::io::Write,
     sink: &EnvMode,
+    cz: &Customizer,
     app: &str,
     log: &isax::ProvLog,
-    check: bool,
     mdes: Option<&Mdes>,
     compiled: Option<&isax_compiler::CompiledProgram>,
 ) -> Result<(), String> {
-    if *sink == EnvMode::Off {
-        return Ok(());
-    }
-    let doc = isax::build_report(app, log);
-    if check {
-        isax::enforce("provenance", &isax::check_provenance(&doc, mdes, compiled));
-    }
     let summary = isax_prov::summarize(log).one_line();
     match sink {
-        EnvMode::Off => unreachable!(),
-        EnvMode::Summary => writeln!(out, "provenance: {summary}").map_err(|e| e.to_string()),
+        EnvMode::Off => Ok(()),
+        EnvMode::Summary => {
+            if cz.check {
+                cz.provenance_report(app, log, mdes, compiled);
+            }
+            writeln!(out, "provenance: {summary}").map_err(|e| e.to_string())
+        }
         EnvMode::Path(path) => {
-            let mut text = doc.to_string_pretty();
-            text.push('\n');
+            let text = cz.provenance_report(app, log, mdes, compiled);
             std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
             writeln!(out, "provenance report ({summary}) written to {path}")
                 .map_err(|e| e.to_string())
@@ -1010,9 +1001,9 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
             emit_prov(
                 out,
                 &sink,
+                &cz,
                 &app_name(file),
                 &analysis.report.prov,
-                cz.check,
                 None,
                 None,
             )?;
@@ -1028,15 +1019,8 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
         } => {
             let p = load_program(file)?;
             let (cz, sink, _recording) = pipeline(flags)?;
-            let analysis = cz.analyze(&p);
-            let (mdes, sel) = if *multifunction {
-                cz.select_multifunction(name, &analysis, *budget)
-            } else {
-                cz.select(name, &analysis, *budget)
-            };
-            let mut report = analysis.report;
-            report.merge(sel.report);
-            report_degradations(out, &report.degradations)?;
+            let (mdes, sel) = cz.customize_analysis(name, cz.analyze(&p), *budget, *multifunction);
+            report_degradations(out, &sel.report.degradations)?;
             let json = mdes.to_json().map_err(|e| e.to_string())?;
             match out_path {
                 Some(path) => {
@@ -1052,7 +1036,7 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
                 }
                 None => w(out, json)?,
             }
-            emit_prov(out, &sink, name, &report.prov, cz.check, Some(&mdes), None)?;
+            emit_prov(out, &sink, &cz, name, &sel.report.prov, Some(&mdes), None)?;
             Ok(())
         }
         Command::Lint { file } => {
@@ -1085,15 +1069,7 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
             let (cz, sink, _recording) = pipeline(flags)?;
             let text = std::fs::read_to_string(mdes).map_err(|e| format!("{mdes}: {e}"))?;
             let mdes = Mdes::from_json(&text).map_err(|e| format!("{mdes}: {e}"))?;
-            let matching = MatchOptions {
-                mode: if *wildcard {
-                    MatchMode::Wildcard
-                } else {
-                    MatchMode::Exact
-                },
-                allow_subsumed: *subsumed,
-            };
-            let ev = cz.evaluate(&p, &mdes, matching);
+            let ev = cz.evaluate(&p, &mdes, MatchOptions::from_flags(*subsumed, *wildcard));
             report_degradations(out, &ev.compiled.report.degradations)?;
             w(
                 out,
@@ -1112,23 +1088,16 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
                 ),
             )?;
             if let Some(path) = emit {
-                let text: String = ev
-                    .compiled
-                    .program
-                    .functions
-                    .iter()
-                    .map(|f| f.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\n");
-                std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
+                std::fs::write(path, ev.compiled.program.functions_text())
+                    .map_err(|e| format!("{path}: {e}"))?;
                 w(out, format!("customized assembly written to {path}"))?;
             }
             emit_prov(
                 out,
                 &sink,
+                &cz,
                 &app_name(file),
                 &ev.compiled.report.prov,
-                cz.check,
                 Some(&mdes),
                 Some(&ev.compiled),
             )?;
@@ -1233,25 +1202,19 @@ fn execute_inner(cmd: &Command, out: &mut dyn std::io::Write) -> Result<(), Stri
             access_log,
             metrics_out,
         } => {
-            let mut cfg = isax_serve::ServeConfig {
+            // Each flag given overrides the default (and its variable).
+            let default = isax_serve::ServeConfig::default();
+            let cfg = isax_serve::ServeConfig {
                 addr: addr.clone(),
-                ..isax_serve::ServeConfig::default()
+                workers: workers.unwrap_or(default.workers),
+                queue_cap: queue_cap.unwrap_or(default.queue_cap),
+                max_work_units: admission_budget.or(default.max_work_units),
+                access_log: access_log
+                    .as_deref()
+                    .map_or(default.access_log.clone(), isax_serve::parse_env_value),
+                metrics_out: metrics_out.clone().or(default.metrics_out.clone()),
+                ..default
             };
-            if let Some(n) = workers {
-                cfg.workers = *n;
-            }
-            if let Some(n) = queue_cap {
-                cfg.queue_cap = *n;
-            }
-            if admission_budget.is_some() {
-                cfg.max_work_units = *admission_budget;
-            }
-            if let Some(v) = access_log {
-                cfg.access_log = isax_serve::parse_env_value(v);
-            }
-            if metrics_out.is_some() {
-                cfg.metrics_out = metrics_out.clone();
-            }
             let workers = cfg.workers;
             let queue_cap = cfg.queue_cap;
             let server = isax_serve::Server::spawn(cfg).map_err(|e| format!("{addr}: {e}"))?;

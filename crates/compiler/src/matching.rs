@@ -48,18 +48,25 @@ impl MatchOptions {
 
     /// Exact plus subsumed-subgraph matching.
     pub fn with_subsumed() -> Self {
-        MatchOptions {
-            mode: MatchMode::Exact,
-            allow_subsumed: true,
-        }
+        MatchOptions::from_flags(true, false)
     }
 
     /// Opcode-class wildcards plus subsumed matching — the most general
     /// configuration in Figures 8/9.
     pub fn generalized() -> Self {
+        MatchOptions::from_flags(true, true)
+    }
+
+    /// The options the `--subsumed` and `--wildcard` switches (and the
+    /// wire request's `subsumed`/`wildcard` fields) select.
+    pub fn from_flags(subsumed: bool, wildcard: bool) -> Self {
         MatchOptions {
-            mode: MatchMode::Wildcard,
-            allow_subsumed: true,
+            mode: if wildcard {
+                MatchMode::Wildcard
+            } else {
+                MatchMode::Exact
+            },
+            allow_subsumed: subsumed,
         }
     }
 }

@@ -97,9 +97,20 @@ pub fn parse_number<T: FromStr>(v: &str) -> Result<T, String> {
 ///
 /// A short reason, for the caller to prefix with what was being parsed.
 pub fn parse_area_budget(v: &str) -> Result<f64, String> {
-    match v.parse::<f64>() {
-        Ok(b) if b.is_finite() && b >= 0.0 => Ok(b),
-        _ => Err("want a finite number of adders, 0 or more".to_string()),
+    check_area_budget(v.parse::<f64>().unwrap_or(f64::NAN))
+}
+
+/// The area-budget range rule behind [`parse_area_budget`], for budgets
+/// that arrive as numbers (the serve protocol's `budget` field).
+///
+/// # Errors
+///
+/// A short reason when `b` is not finite or is negative.
+pub fn check_area_budget(b: f64) -> Result<f64, String> {
+    if b.is_finite() && b >= 0.0 {
+        Ok(b)
+    } else {
+        Err("want a finite number of adders, 0 or more".to_string())
     }
 }
 

@@ -48,14 +48,9 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod experiment;
 pub mod pipeline;
 
 pub use config::RunConfig;
-pub use experiment::{
-    cross_speedup, generalization_bars, limit_speedup, native_speedup, speedup_on,
-    GeneralizationBars,
-};
 pub use pipeline::{Analysis, AnalysisStats, Customizer, Evaluation, SharedContext};
 
 // Re-export the vocabulary types users need at the facade level.

@@ -440,15 +440,57 @@ impl Customizer {
         }
     }
 
-    /// One-shot: analyze + select at a budget. The returned selection's
-    /// report holds the analysis stage's records, then the select
-    /// stage's.
+    /// One-shot: analyze + plain greedy select at a budget. The returned
+    /// selection's report holds the analysis stage's records, then the
+    /// select stage's.
     pub fn customize(&self, app_name: &str, program: &Program, budget: f64) -> (Mdes, Selection) {
-        let analysis = self.analyze(program);
-        let (mdes, sel) = self.select(app_name, &analysis, budget);
+        self.customize_analysis(app_name, self.analyze(program), budget, false)
+    }
+
+    /// The select half of customization, shared by [`Customizer::customize`],
+    /// `isax customize` and `isax serve`: [`Customizer::select_multifunction`]
+    /// when `multifunction` is set, else [`Customizer::select`]. The
+    /// returned selection's report holds the analysis stage's records,
+    /// then the select stage's.
+    pub fn customize_analysis(
+        &self,
+        app_name: &str,
+        analysis: Analysis,
+        budget: f64,
+        multifunction: bool,
+    ) -> (Mdes, Selection) {
+        let (mdes, sel) = if multifunction {
+            self.select_multifunction(app_name, &analysis, budget)
+        } else {
+            self.select(app_name, &analysis, budget)
+        };
         let mut report = analysis.report;
         report.merge(sel.report);
         (mdes, Selection { report, ..sel })
+    }
+
+    /// The provenance report of a run as the CLI's `--prov-out` file and
+    /// the server's `prov` artifact carry it: the pretty-printed
+    /// [`isax_prov::build_report`] document plus a trailing newline.
+    /// With [`Customizer::check`] set, the document is first
+    /// cross-checked against `mdes` and `compiled` (IC07xx).
+    pub fn provenance_report(
+        &self,
+        app_name: &str,
+        log: &isax_prov::ProvLog,
+        mdes: Option<&Mdes>,
+        compiled: Option<&CompiledProgram>,
+    ) -> String {
+        let doc = isax_prov::build_report(app_name, log);
+        if self.check {
+            isax_check::enforce(
+                "provenance",
+                &isax_check::check_provenance(&doc, mdes, compiled),
+            );
+        }
+        let mut text = doc.to_string_pretty();
+        text.push('\n');
+        text
     }
 
     /// Compiles `program` against `mdes` and reports cycles/speedup.

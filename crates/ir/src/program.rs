@@ -148,6 +148,15 @@ impl Program {
     pub fn inst_count(&self) -> usize {
         self.functions.iter().map(|f| f.inst_count()).sum()
     }
+
+    /// The functions in the textual IR format (each function's
+    /// `Display`, joined by `\n`): what `isax compile --emit` writes and
+    /// what [`crate::parse_program`] reads back. Registered
+    /// `cfu_semantics` are not part of it.
+    pub fn functions_text(&self) -> String {
+        let texts: Vec<String> = self.functions.iter().map(ToString::to_string).collect();
+        texts.join("\n")
+    }
 }
 
 impl FromIterator<Function> for Program {

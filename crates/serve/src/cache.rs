@@ -44,18 +44,12 @@ pub struct CacheKey {
     pub config: u64,
 }
 
-/// Fingerprints a parsed program by its canonical printed form (each
-/// function's `Display`, joined by `\n` — the same text the assembly
+/// Fingerprints a parsed program by its canonical printed form
+/// ([`isax_ir::Program::functions_text`], the same text the assembly
 /// emitter writes), so lexical noise in the request never splits cache
 /// entries.
 pub fn kernel_fingerprint(program: &isax_ir::Program) -> u64 {
-    let canonical: String = program
-        .functions
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("\n");
-    fnv64(canonical.as_bytes())
+    fnv64(program.functions_text().as_bytes())
 }
 
 /// Incrementally hashes the config half of a [`CacheKey`].

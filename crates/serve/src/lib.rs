@@ -23,9 +23,13 @@
 //!   Prometheus-text `metrics` exposition;
 //! - [`client`] — a small blocking client for tests and `bench serve`.
 //!
-//! The correctness claim is external: `tests/serve.rs` (repo root)
-//! proves every artifact a concurrent server returns is byte-identical
-//! to what the serial CLI writes for the same request.
+//! Artifacts come from the same [`isax::Customizer`] entry points the
+//! `isax customize` / `isax compile` commands call (`analyze` then
+//! `customize_analysis`, `evaluate`, `provenance_report`,
+//! `Program::functions_text`); the server adds only wire error codes,
+//! the cache, stage timing and admission. `tests/serve.rs` (repo root)
+//! checks that every artifact a concurrent server returns is
+//! byte-identical to what the serial CLI writes for the same request.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,8 +46,8 @@ pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, frame_id, Artifacts,
     ErrorCode, Frame, Reply, Request, Response, WireError, MAX_FRAME_BYTES,
 };
-pub use server::{stats_mode, ServeConfig, Server};
-pub use telemetry::{access_mode, request_id, AccessLog, AccessRecord, HistSet, ServeMetrics};
+pub use server::{ServeConfig, Server};
+pub use telemetry::{request_id, AccessLog, AccessRecord, HistSet, ServeMetrics};
 
 /// The shared observability env-var grammar (`ISAX_SERVE_STATS` here,
 /// `ISAX_TRACE`/`ISAX_PROV` elsewhere), re-exported from its canonical

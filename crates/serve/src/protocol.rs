@@ -20,6 +20,15 @@
 //! {"req":"shutdown","id":N}
 //! ```
 //!
+//! Each field is decoded by one typed rule, the CLI's where the CLI has
+//! one: `N` (`id`, `work_budget`) is a non-negative integer, `B` a JSON
+//! boolean, `S` a string, and `budget` a finite number of adders, 0 or
+//! more ([`isax::config::check_area_budget`], the `--budget` rule). An
+//! absent optional field takes its default (`id` 0, `budget` 15, flags
+//! false, no work budget); a present field of the wrong type or out of
+//! range, an unknown field and a repeated field are each a
+//! [`ErrorCode::BadRequest`] that names the field.
+//!
 //! Response grammar:
 //!
 //! ```text
@@ -76,6 +85,19 @@ pub enum Request {
     /// Graceful shutdown: the server acknowledges, drains the queue and
     /// stops accepting.
     Shutdown,
+}
+
+impl Request {
+    /// The request kind's wire spelling (its `req` field).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Request::Customize { .. } => "customize",
+            Request::Compile { .. } => "compile",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Shutdown => "shutdown",
+        }
+    }
 }
 
 /// A request together with its frame id (echoed in the response).
@@ -196,11 +218,11 @@ impl std::error::Error for WireError {}
 pub struct Artifacts {
     /// The MDES document (`Mdes::to_json`).
     pub mdes: Option<String>,
-    /// Customized assembly (functions joined by `\n`, the `--emit`
+    /// Customized assembly (`Program::functions_text`, the `--emit`
     /// format).
     pub assembly: Option<String>,
-    /// The provenance report (`build_report(..).to_string_pretty()`
-    /// plus a trailing newline, the `--prov-out` format).
+    /// The provenance report (`Customizer::provenance_report`, the
+    /// `--prov-out` format).
     pub prov: Option<String>,
     /// Baseline cycle estimate (compile only).
     pub baseline_cycles: Option<u64>,
@@ -248,21 +270,72 @@ fn opt_bool(v: &Value, key: &str, default: bool) -> bool {
     v.get(key).and_then(Value::as_bool).unwrap_or(default)
 }
 
-fn req_str(v: &Value, key: &str) -> Result<String, WireError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| {
-            WireError::new(
-                ErrorCode::BadRequest,
-                format!("missing or non-string `{key}` field"),
-            )
-        })
+fn bad_request(message: String) -> WireError {
+    WireError::new(ErrorCode::BadRequest, message)
+}
+
+/// A request object's fields, read one typed rule at a time. Every key
+/// a rule asks for is remembered, so [`Fields::finish`] can refuse the
+/// fields no rule read.
+struct Fields<'a> {
+    pairs: &'a [(String, Value)],
+    read: Vec<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    /// The field `key` under `rule`: absent is `Ok(None)`; present but
+    /// refused by the rule is a `BadRequest` naming `key` and `want`.
+    fn opt<T>(
+        &mut self,
+        key: &'static str,
+        want: &str,
+        rule: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<Option<T>, WireError> {
+        self.read.push(key);
+        match self.pairs.iter().find(|(k, _)| k == key) {
+            None => Ok(None),
+            Some((_, v)) => rule(v)
+                .map(Some)
+                .ok_or_else(|| bad_request(format!("bad `{key}` field (want {want})"))),
+        }
+    }
+
+    fn string(&mut self, key: &'static str) -> Result<String, WireError> {
+        self.opt(key, "a string", Value::as_str)?
+            .map(str::to_string)
+            .ok_or_else(|| bad_request(format!("missing `{key}` field")))
+    }
+
+    fn flag(&mut self, key: &'static str) -> Result<bool, WireError> {
+        Ok(self
+            .opt(key, "true or false", Value::as_bool)?
+            .unwrap_or(false))
+    }
+
+    fn units(&mut self, key: &'static str) -> Result<Option<u64>, WireError> {
+        self.opt(key, "a non-negative integer", Value::as_u64)
+    }
+
+    /// Refuses a field no rule read, or one given twice.
+    fn finish(self) -> Result<(), WireError> {
+        for (i, (key, _)) in self.pairs.iter().enumerate() {
+            if !self.read.contains(&key.as_str()) {
+                return Err(bad_request(format!("unknown field `{key}`")));
+            }
+            if self.pairs[..i].iter().any(|(k, _)| k == key) {
+                return Err(bad_request(format!("repeated field `{key}`")));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Encodes a request frame as one line (no trailing newline).
 pub fn encode_request(frame: &Frame) -> String {
-    let mut fields: Vec<(&'static str, Value)> = Vec::new();
+    let mut fields = vec![
+        ("req", Value::from(frame.request.kind())),
+        ("id", Value::from(frame.id)),
+    ];
     match &frame.request {
         Request::Customize {
             kernel,
@@ -271,8 +344,6 @@ pub fn encode_request(frame: &Frame) -> String {
             multifunction,
             work_budget,
         } => {
-            fields.push(("req", Value::from("customize")));
-            fields.push(("id", Value::from(frame.id)));
             fields.push(("kernel", Value::from(kernel.clone())));
             fields.push(("name", Value::from(name.clone())));
             fields.push(("budget", Value::Float(*budget)));
@@ -289,8 +360,6 @@ pub fn encode_request(frame: &Frame) -> String {
             wildcard,
             work_budget,
         } => {
-            fields.push(("req", Value::from("compile")));
-            fields.push(("id", Value::from(frame.id)));
             fields.push(("kernel", Value::from(kernel.clone())));
             fields.push(("name", Value::from(name.clone())));
             fields.push(("mdes", Value::from(mdes.clone())));
@@ -300,18 +369,7 @@ pub fn encode_request(frame: &Frame) -> String {
                 fields.push(("work_budget", Value::from(*u)));
             }
         }
-        Request::Stats => {
-            fields.push(("req", Value::from("stats")));
-            fields.push(("id", Value::from(frame.id)));
-        }
-        Request::Metrics => {
-            fields.push(("req", Value::from("metrics")));
-            fields.push(("id", Value::from(frame.id)));
-        }
-        Request::Shutdown => {
-            fields.push(("req", Value::from("shutdown")));
-            fields.push(("id", Value::from(frame.id)));
-        }
+        Request::Stats | Request::Metrics | Request::Shutdown => {}
     }
     object(fields).to_string_compact()
 }
@@ -330,47 +388,46 @@ pub fn frame_id(line: &str) -> u64 {
 /// # Errors
 ///
 /// [`ErrorCode::MalformedFrame`] for non-JSON, [`ErrorCode::BadRequest`]
-/// for JSON that is not a request. Never panics, whatever the bytes.
+/// for JSON that is not a request under the module's field rules.
+/// Never panics, whatever the bytes.
 pub fn decode_request(line: &str) -> Result<Frame, WireError> {
     let v = isax_json::parse(line)
         .map_err(|e| WireError::new(ErrorCode::MalformedFrame, e.to_string()))?;
-    if v.as_object().is_none() {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            "frame is not a JSON object",
-        ));
-    }
-    let id = opt_u64(&v, "id").unwrap_or(0);
-    let req = v
-        .get("req")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::new(ErrorCode::BadRequest, "missing `req` field"))?;
-    let request = match req {
+    let pairs = v
+        .as_object()
+        .ok_or_else(|| bad_request("frame is not a JSON object".into()))?;
+    let mut f = Fields {
+        pairs,
+        read: Vec::new(),
+    };
+    let req = f.string("req")?;
+    let id = f.units("id")?.unwrap_or(0);
+    let request = match req.as_str() {
         "customize" => Request::Customize {
-            kernel: req_str(&v, "kernel")?,
-            name: req_str(&v, "name")?,
-            budget: v.get("budget").and_then(Value::as_f64).unwrap_or(15.0),
-            multifunction: opt_bool(&v, "multifunction", false),
-            work_budget: opt_u64(&v, "work_budget"),
+            kernel: f.string("kernel")?,
+            name: f.string("name")?,
+            budget: match f.opt("budget", "a number", Value::as_f64)? {
+                Some(b) => isax::config::check_area_budget(b)
+                    .map_err(|e| bad_request(format!("bad `budget` field ({e})")))?,
+                None => 15.0,
+            },
+            multifunction: f.flag("multifunction")?,
+            work_budget: f.units("work_budget")?,
         },
         "compile" => Request::Compile {
-            kernel: req_str(&v, "kernel")?,
-            name: req_str(&v, "name")?,
-            mdes: req_str(&v, "mdes")?,
-            subsumed: opt_bool(&v, "subsumed", false),
-            wildcard: opt_bool(&v, "wildcard", false),
-            work_budget: opt_u64(&v, "work_budget"),
+            kernel: f.string("kernel")?,
+            name: f.string("name")?,
+            mdes: f.string("mdes")?,
+            subsumed: f.flag("subsumed")?,
+            wildcard: f.flag("wildcard")?,
+            work_budget: f.units("work_budget")?,
         },
         "stats" => Request::Stats,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
-        other => {
-            return Err(WireError::new(
-                ErrorCode::BadRequest,
-                format!("unknown request `{other}`"),
-            ))
-        }
+        other => return Err(bad_request(format!("unknown request `{other}`"))),
     };
+    f.finish()?;
     Ok(Frame { id, request })
 }
 

@@ -15,51 +15,31 @@
 //! gracefully (sound prefix + `Degradation` records in the response)
 //! instead of monopolizing a worker.
 //!
-//! **Determinism**: each worker runs the same [`isax::Customizer`]
-//! pipeline the CLI runs, over the same shared context; inner pipeline
-//! stages still fan out through `isax_graph::par` exactly as in the
-//! one-shot CLI, so every artifact byte matches the serial CLI output
-//! (`tests/serve.rs` proves this). Provenance recording is enabled for
-//! the server's whole lifetime — per-request logs ride on stage return
-//! values, so concurrent requests never interleave.
+//! **Determinism**: each worker calls the same [`isax::Customizer`]
+//! entry points the CLI calls (`analyze` + `customize_analysis`,
+//! `evaluate`, `provenance_report`), over the same shared context;
+//! inner pipeline stages still fan out through `isax_graph::par`
+//! exactly as in the one-shot CLI, so every artifact byte matches the
+//! serial CLI output (`tests/serve.rs` proves this). Provenance
+//! recording is enabled for the server's whole lifetime — per-request
+//! logs ride on stage return values, so concurrent requests never
+//! interleave.
 
 use crate::cache::{fnv64, kernel_fingerprint, ArtifactCache, CacheKey, ConfigHasher};
 use crate::protocol::{
     decode_request, encode_response, frame_id, Artifacts, ErrorCode, Frame, Reply, Request,
     Response, WireError, MAX_FRAME_BYTES,
 };
-use crate::telemetry::{access_mode, request_id, AccessLog, AccessRecord, HistSet, ServeMetrics};
-use isax::{Customizer, MatchMode, MatchOptions, Mdes, SharedContext, StageReport};
+use crate::telemetry::{request_id, AccessLog, AccessRecord, HistSet, ServeMetrics};
+use isax::{Customizer, MatchOptions, Mdes, SharedContext, StageReport};
 use isax_json::{object, Value};
-use isax_trace::{EnvMode, Expo, Section};
+use isax_trace::{env_mode, EnvMode, Expo, Section};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
-
-/// Parses `ISAX_SERVE_STATS` with the shared observability grammar
-/// (re-exported from `isax-trace`, the same table `ISAX_TRACE` and
-/// `ISAX_PROV` use): off values disable the shutdown stats dump,
-/// summary values print one line to stderr, anything else is a path the
-/// final stats JSON is written to.
-pub fn stats_mode() -> EnvMode {
-    match std::env::var("ISAX_SERVE_STATS") {
-        Ok(v) => isax_trace::parse_env_value(&v),
-        Err(_) => EnvMode::Off,
-    }
-}
-
-/// Parses `ISAX_FLAME` with the shared observability grammar: when the
-/// server runs with stats recording, a path here gets the folded-stack
-/// flamegraph of the server's whole life written at shutdown.
-pub fn flame_mode() -> EnvMode {
-    match std::env::var("ISAX_FLAME") {
-        Ok(v) => isax_trace::parse_env_value(&v),
-        Err(_) => EnvMode::Off,
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +59,9 @@ pub struct ServeConfig {
     pub max_work_units: Option<u64>,
     /// Per-frame byte cap (requests over this get `oversized-frame`).
     pub max_frame_bytes: usize,
-    /// What to do with final stats at shutdown (`ISAX_SERVE_STATS`).
+    /// What to do with final stats at shutdown (`ISAX_SERVE_STATS`, in
+    /// the shared observability grammar): off, one summary line on
+    /// stderr, or the final stats JSON written to a path.
     pub stats: EnvMode,
     /// Access-log destination (`--access-log` / `ISAX_SERVE_LOG`): one
     /// JSON line per request, exactly once.
@@ -97,22 +79,28 @@ impl Default for ServeConfig {
             queue_cap: 64,
             max_work_units: None,
             max_frame_bytes: MAX_FRAME_BYTES,
-            stats: stats_mode(),
-            access_log: access_mode(),
+            stats: env_mode("ISAX_SERVE_STATS"),
+            access_log: env_mode("ISAX_SERVE_LOG"),
             metrics_out: None,
         }
     }
 }
 
-struct Job {
-    frame: Frame,
-    reply: mpsc::Sender<String>,
+/// A frame's identity from the moment it was read off the socket.
+#[derive(Clone)]
+struct Arrival {
     /// Arrival sequence number (doubles as the trace request tag).
     seq: u64,
     /// Deterministic request id for the access log.
     rid: String,
-    /// When the frame was read off the socket (end-to-end latency base).
-    received_at: Instant,
+    /// When the frame was read (end-to-end latency base).
+    at: Instant,
+}
+
+struct Job {
+    frame: Frame,
+    reply: mpsc::Sender<String>,
+    arrival: Arrival,
     /// When the job entered the queue (queue-wait base).
     enqueued_at: Instant,
 }
@@ -133,7 +121,6 @@ struct Shared {
     cache: ArtifactCache,
     received: AtomicU64,
     completed: AtomicU64,
-    busy_rejected: AtomicU64,
     clamped: AtomicU64,
     recorder: Option<Arc<isax_trace::Recorder>>,
     metrics: ServeMetrics,
@@ -141,10 +128,27 @@ struct Shared {
 }
 
 impl Shared {
-    fn record_stage(&self, info: &mut WorkInfo, stage: &'static str, us: u64) {
+    /// Runs `f` as the request's `stage`, recording its service time.
+    fn timed<T>(&self, info: &mut WorkInfo, stage: &'static str, f: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = f();
+        let us = t.elapsed().as_micros() as u64;
         self.metrics
             .with_hists(|h| h.stages.entry(stage).or_default().record(us));
         info.stages.push((stage, us));
+        out
+    }
+
+    /// Numbers a frame just read: `content_fp` fingerprints its bytes
+    /// (0 when there are none to trust).
+    fn arrive(&self, content_fp: u64) -> Arrival {
+        let at = Instant::now();
+        let seq = self.received.fetch_add(1, Ordering::Relaxed) + 1;
+        Arrival {
+            seq,
+            rid: request_id(seq, content_fp),
+            at,
+        }
     }
 
     /// Writes one access-log record (no-op when the log is off).
@@ -152,6 +156,19 @@ impl Shared {
         if let Some(log) = &self.access {
             log.write(rec);
         }
+    }
+
+    /// Writes the access-log record of a request the connection thread
+    /// finished itself (control requests and refusals).
+    fn log_inline(&self, arrival: &Arrival, kind: &'static str, outcome: &'static str) {
+        self.log_access(&AccessRecord {
+            seq: arrival.seq,
+            id: arrival.rid.clone(),
+            kind,
+            outcome,
+            total_us: arrival.at.elapsed().as_micros() as u64,
+            ..AccessRecord::default()
+        });
     }
 
     /// The live statistics snapshot the `stats` request returns.
@@ -201,7 +218,7 @@ impl Shared {
                     ("errors", Value::from(self.metrics.errors_total())),
                     (
                         "busy_rejected",
-                        Value::from(self.busy_rejected.load(Ordering::Relaxed)),
+                        Value::from(self.metrics.errors(ErrorCode::Busy)),
                     ),
                     ("inflight", Value::from(self.metrics.inflight())),
                     ("by_code", by_code),
@@ -404,23 +421,14 @@ impl Shared {
         cz
     }
 
-    /// Completes `artifacts` with the provenance report and `degraded`
-    /// lines of the stage `report`, then caches them under `key` and
-    /// returns them, unless one of its degradations is not
+    /// Completes `artifacts` with the `degraded` lines of the run's stage
+    /// `report`, then caches them under `key` and returns them, unless
+    /// one of its degradations is not
     /// [replayable](isax::DegradationKind::replayable)
     /// (a deadline, a contained panic or a cancellation): such results
     /// are served but never cached.
-    fn store(
-        &self,
-        key: CacheKey,
-        name: &str,
-        report: &StageReport,
-        artifacts: Artifacts,
-    ) -> Artifacts {
-        let mut prov = isax::build_report(name, &report.prov).to_string_pretty();
-        prov.push('\n');
+    fn store(&self, key: CacheKey, report: &StageReport, artifacts: Artifacts) -> Artifacts {
         let artifacts = Artifacts {
-            prov: Some(prov),
             degraded: report
                 .degradations
                 .iter()
@@ -435,8 +443,7 @@ impl Shared {
         }
     }
 
-    /// Runs one admitted work request, mirroring the CLI code paths
-    /// byte for byte.
+    /// Runs one admitted work request.
     fn process(&self, frame: Frame, info: &mut WorkInfo) -> Response {
         let id = frame.id;
         match self.try_process(frame, info) {
@@ -457,11 +464,19 @@ impl Shared {
         }
     }
 
+    /// The server's share of a work request: wire error codes, the cache
+    /// key and lookup, stage timing and the replayable-store rule. The
+    /// artifacts come from the `Customizer` entry points `isax
+    /// customize` and `isax compile` call.
     fn try_process(
         &self,
         frame: Frame,
         info: &mut WorkInfo,
     ) -> Result<(bool, Artifacts), WireError> {
+        let parse = |kernel: &str| {
+            isax_ir::parse_program(kernel)
+                .map_err(|e| WireError::new(ErrorCode::ParseError, e.to_string()))
+        };
         match frame.request {
             Request::Customize {
                 kernel,
@@ -470,10 +485,7 @@ impl Shared {
                 multifunction,
                 work_budget,
             } => {
-                let t = Instant::now();
-                let program = isax_ir::parse_program(&kernel)
-                    .map_err(|e| WireError::new(ErrorCode::ParseError, e.to_string()))?;
-                self.record_stage(info, "parse", t.elapsed().as_micros() as u64);
+                let program = self.timed(info, "parse", || parse(&kernel))?;
                 let cz = self.customizer(work_budget, info);
                 let key = CacheKey {
                     kernel: kernel_fingerprint(&program),
@@ -487,26 +499,19 @@ impl Shared {
                 if let Some(hit) = self.cache.lookup(key) {
                     return Ok((true, (*hit).clone()));
                 }
-                let t = Instant::now();
-                let analysis = cz.analyze(&program);
-                self.record_stage(info, "analyze", t.elapsed().as_micros() as u64);
-                let t = Instant::now();
-                let (mdes, sel) = if multifunction {
-                    cz.select_multifunction(&name, &analysis, budget)
-                } else {
-                    cz.select(&name, &analysis, budget)
-                };
-                self.record_stage(info, "select", t.elapsed().as_micros() as u64);
+                let analysis = self.timed(info, "analyze", || cz.analyze(&program));
+                let (mdes, sel) = self.timed(info, "select", || {
+                    cz.customize_analysis(&name, analysis, budget, multifunction)
+                });
                 let mdes_json = mdes
                     .to_json()
                     .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
-                let mut report = analysis.report;
-                report.merge(sel.report);
                 let artifacts = Artifacts {
                     mdes: Some(mdes_json),
+                    prov: Some(cz.provenance_report(&name, &sel.report.prov, Some(&mdes), None)),
                     ..Artifacts::default()
                 };
-                Ok((false, self.store(key, &name, &report, artifacts)))
+                Ok((false, self.store(key, &sel.report, artifacts)))
             }
             Request::Compile {
                 kernel,
@@ -516,10 +521,7 @@ impl Shared {
                 wildcard,
                 work_budget,
             } => {
-                let t = Instant::now();
-                let program = isax_ir::parse_program(&kernel)
-                    .map_err(|e| WireError::new(ErrorCode::ParseError, e.to_string()))?;
-                self.record_stage(info, "parse", t.elapsed().as_micros() as u64);
+                let program = self.timed(info, "parse", || parse(&kernel))?;
                 let parsed_mdes = Mdes::from_json(&mdes)
                     .map_err(|e| WireError::new(ErrorCode::BadMdes, e.to_string()))?;
                 let cz = self.customizer(work_budget, info);
@@ -536,35 +538,24 @@ impl Shared {
                 if let Some(hit) = self.cache.lookup(key) {
                     return Ok((true, (*hit).clone()));
                 }
-                let matching = MatchOptions {
-                    mode: if wildcard {
-                        MatchMode::Wildcard
-                    } else {
-                        MatchMode::Exact
-                    },
-                    allow_subsumed: subsumed,
-                };
-                let t = Instant::now();
-                let ev = cz.evaluate(&program, &parsed_mdes, matching);
-                self.record_stage(info, "evaluate", t.elapsed().as_micros() as u64);
-                let assembly: String = ev
-                    .compiled
-                    .program
-                    .functions
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n");
+                let matching = MatchOptions::from_flags(subsumed, wildcard);
+                let ev = self.timed(info, "evaluate", || {
+                    cz.evaluate(&program, &parsed_mdes, matching)
+                });
+                let prov = cz.provenance_report(
+                    &name,
+                    &ev.compiled.report.prov,
+                    Some(&parsed_mdes),
+                    Some(&ev.compiled),
+                );
                 let artifacts = Artifacts {
-                    assembly: Some(assembly),
+                    assembly: Some(ev.compiled.program.functions_text()),
+                    prov: Some(prov),
                     baseline_cycles: Some(ev.baseline_cycles),
                     custom_cycles: Some(ev.custom_cycles),
                     ..Artifacts::default()
                 };
-                Ok((
-                    false,
-                    self.store(key, &name, &ev.compiled.report, artifacts),
-                ))
+                Ok((false, self.store(key, &ev.compiled.report, artifacts)))
             }
             // Control requests never reach the queue.
             Request::Stats | Request::Metrics | Request::Shutdown => Err(WireError::new(
@@ -623,7 +614,6 @@ impl Server {
             cache: ArtifactCache::new(),
             received: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            busy_rejected: AtomicU64::new(0),
             clamped: AtomicU64::new(0),
             recorder,
             metrics: ServeMetrics::default(),
@@ -705,31 +695,17 @@ impl Server {
             for w in self.workers.drain(..) {
                 let _ = w.join();
             }
-            let stats = self.shared.stats_value();
-            match &self.shared.cfg.stats {
+            let shared = &self.shared;
+            match &shared.cfg.stats {
                 EnvMode::Off => {}
-                EnvMode::Summary => {
-                    eprintln!(
-                        "isax serve: {} completed, {} errors, cache hit rate {:.2}",
-                        stats
-                            .get("requests")
-                            .and_then(|r| r.get("completed"))
-                            .and_then(Value::as_u64)
-                            .unwrap_or(0),
-                        stats
-                            .get("requests")
-                            .and_then(|r| r.get("errors"))
-                            .and_then(Value::as_u64)
-                            .unwrap_or(0),
-                        stats
-                            .get("cache")
-                            .and_then(|c| c.get("hit_rate"))
-                            .and_then(Value::as_f64)
-                            .unwrap_or(0.0),
-                    );
-                }
+                EnvMode::Summary => eprintln!(
+                    "isax serve: {} completed, {} errors, cache hit rate {:.2}",
+                    shared.completed.load(Ordering::Relaxed),
+                    shared.metrics.errors_total(),
+                    shared.cache.hit_rate(),
+                ),
                 EnvMode::Path(p) => {
-                    let mut text = stats.to_string_pretty();
+                    let mut text = shared.stats_value().to_string_pretty();
                     text.push('\n');
                     if let Err(e) = std::fs::write(p, text) {
                         eprintln!("isax serve: could not write stats to {p}: {e}");
@@ -742,7 +718,9 @@ impl Server {
                 }
             }
             if let Some(rec) = &self.shared.recorder {
-                match flame_mode() {
+                // Read at shutdown: a path here gets the folded-stack
+                // flamegraph of the server's whole life.
+                match env_mode("ISAX_FLAME") {
                     EnvMode::Off => {}
                     EnvMode::Summary => eprint!("{}", rec.folded_stacks()),
                     EnvMode::Path(p) => {
@@ -790,23 +768,19 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let Some(job) = job else { return };
         let queue_us = job.enqueued_at.elapsed().as_micros() as u64;
-        let kind = match &job.frame.request {
-            Request::Customize { .. } => "customize",
-            Request::Compile { .. } => "compile",
-            _ => "control",
-        };
+        let kind = job.frame.request.kind();
         let name = match &job.frame.request {
             Request::Customize { name, .. } | Request::Compile { name, .. } => Some(name.clone()),
             _ => None,
         };
         shared.metrics.enter();
         // Tag every span/counter the pipeline emits with this request.
-        isax_trace::set_request(job.seq);
+        isax_trace::set_request(job.arrival.seq);
         let mut info = WorkInfo::default();
         let resp = shared.process(job.frame, &mut info);
         isax_trace::set_request(0);
         shared.metrics.leave();
-        let total_us = job.received_at.elapsed().as_micros() as u64;
+        let total_us = job.arrival.at.elapsed().as_micros() as u64;
         shared.metrics.with_hists(|h| {
             h.queue_wait_us.record(queue_us);
             h.e2e_us.record(total_us);
@@ -817,8 +791,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             _ => ("ok", false, 0),
         };
         shared.log_access(&AccessRecord {
-            seq: job.seq,
-            id: job.rid,
+            seq: job.arrival.seq,
+            id: job.arrival.rid,
             kind,
             name,
             outcome,
@@ -905,31 +879,6 @@ fn read_frame(reader: &mut BufReader<TcpStream>, cap: usize) -> std::io::Result<
     }
 }
 
-/// Writes an access-log record for a request the connection thread
-/// finished itself (control requests and protocol errors).
-fn log_inline(
-    shared: &Arc<Shared>,
-    seq: u64,
-    rid: &str,
-    kind: &'static str,
-    outcome: &'static str,
-    received_at: Instant,
-) {
-    shared.log_access(&AccessRecord {
-        seq,
-        id: rid.to_string(),
-        kind,
-        name: None,
-        outcome,
-        cached: false,
-        admitted: None,
-        degraded: 0,
-        queue_us: 0,
-        stages: Vec::new(),
-        total_us: received_at.elapsed().as_micros() as u64,
-    });
-}
-
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -941,182 +890,122 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         // `received` counter) and a deterministic request id derived
         // from that sequence plus a content fingerprint — no clocks,
         // no randomness, so a request script replays to the same ids.
-        let (seq, rid, frame, received_at) =
-            match read_frame(&mut reader, shared.cfg.max_frame_bytes) {
-                Ok(FrameRead::Line(line)) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let received_at = Instant::now();
-                    let seq = shared.received.fetch_add(1, Ordering::Relaxed) + 1;
-                    let rid = request_id(seq, fnv64(line.as_bytes()));
-                    match decode_request(&line) {
-                        Ok(frame) => (seq, rid, frame, received_at),
-                        Err(e) => {
-                            shared.metrics.count_error(e.code);
-                            log_inline(shared, seq, &rid, "frame", e.code.as_str(), received_at);
-                            if respond(&mut writer, frame_id(&line), Reply::Error(e)).is_err() {
-                                return;
-                            }
-                            continue;
-                        }
-                    }
-                }
-                Ok(FrameRead::Oversized) => {
-                    let received_at = Instant::now();
-                    let seq = shared.received.fetch_add(1, Ordering::Relaxed) + 1;
-                    let rid = request_id(seq, 0);
-                    shared.metrics.count_error(ErrorCode::OversizedFrame);
-                    log_inline(
-                        shared,
-                        seq,
-                        &rid,
-                        "frame",
-                        ErrorCode::OversizedFrame.as_str(),
-                        received_at,
-                    );
-                    let e = WireError::new(
-                        ErrorCode::OversizedFrame,
-                        format!("frame exceeds {} bytes", shared.cfg.max_frame_bytes),
-                    );
-                    if respond(&mut writer, 0, Reply::Error(e)).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                Ok(FrameRead::Truncated) => {
-                    let received_at = Instant::now();
-                    let seq = shared.received.fetch_add(1, Ordering::Relaxed) + 1;
-                    let rid = request_id(seq, 0);
-                    shared.metrics.count_error(ErrorCode::TruncatedFrame);
-                    log_inline(
-                        shared,
-                        seq,
-                        &rid,
-                        "frame",
-                        ErrorCode::TruncatedFrame.as_str(),
-                        received_at,
-                    );
-                    let e = WireError::new(ErrorCode::TruncatedFrame, "stream ended mid-frame");
-                    let _ = respond(&mut writer, 0, Reply::Error(e));
-                    return;
-                }
-                Ok(FrameRead::Eof) | Err(_) => return,
-            };
-        match frame.request {
-            Request::Stats => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                log_inline(shared, seq, &rid, "stats", "ok", received_at);
-                if respond(&mut writer, frame.id, Reply::Stats(shared.stats_value())).is_err() {
-                    return;
-                }
+        // A frame that never decodes is refused with the id it carried,
+        // if any. After a truncated frame the next read is the end of
+        // the stream, which closes the connection.
+        let (arrival, decoded) = match read_frame(&mut reader, shared.cfg.max_frame_bytes) {
+            Ok(FrameRead::Line(line)) if line.trim().is_empty() => continue,
+            Ok(FrameRead::Line(line)) => (
+                shared.arrive(fnv64(line.as_bytes())),
+                decode_request(&line).map_err(|e| (frame_id(&line), e)),
+            ),
+            Ok(FrameRead::Oversized) => {
+                let cap = shared.cfg.max_frame_bytes;
+                let e = WireError::new(
+                    ErrorCode::OversizedFrame,
+                    format!("frame exceeds {cap} bytes"),
+                );
+                (shared.arrive(0), Err((0, e)))
             }
-            Request::Metrics => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                log_inline(shared, seq, &rid, "metrics", "ok", received_at);
-                if respond(&mut writer, frame.id, Reply::Metrics(shared.metrics_text())).is_err() {
+            Ok(FrameRead::Truncated) => {
+                let e = WireError::new(ErrorCode::TruncatedFrame, "stream ended mid-frame");
+                (shared.arrive(0), Err((0, e)))
+            }
+            Ok(FrameRead::Eof) | Err(_) => return,
+        };
+        let frame = match decoded {
+            Ok(frame) => frame,
+            Err((id, e)) => {
+                if refuse(&mut writer, shared, &arrival, "frame", id, e).is_err() {
                     return;
                 }
+                continue;
             }
-            Request::Shutdown => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                log_inline(shared, seq, &rid, "shutdown", "ok", received_at);
-                let _ = respond(&mut writer, frame.id, Reply::Shutdown);
-                // The accepted socket's local address is the listener's
-                // address, which the shutdown self-connect needs.
-                let addr = writer
-                    .local_addr()
-                    .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0)));
-                initiate_shutdown(shared, addr);
+        };
+        let kind = frame.request.kind();
+        if let Request::Customize { .. } | Request::Compile { .. } = frame.request {
+            if !dispatch(&mut writer, shared, frame, arrival) {
                 return;
             }
-            _ => {
-                let kind = match &frame.request {
-                    Request::Customize { .. } => "customize",
-                    _ => "compile",
-                };
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    shared.metrics.count_error(ErrorCode::ShuttingDown);
-                    log_inline(
-                        shared,
-                        seq,
-                        &rid,
-                        kind,
-                        ErrorCode::ShuttingDown.as_str(),
-                        received_at,
-                    );
-                    let e = WireError::new(ErrorCode::ShuttingDown, "server is shutting down");
-                    if respond(&mut writer, frame.id, Reply::Error(e)).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                let (tx, rx) = mpsc::channel();
-                let enqueued = {
-                    let mut q = shared.queue.lock().expect("queue lock");
-                    if q.len() >= shared.cfg.queue_cap {
-                        false
-                    } else {
-                        q.push_back(Job {
-                            frame: Frame {
-                                id: frame.id,
-                                request: frame.request,
-                            },
-                            reply: tx,
-                            seq,
-                            rid: rid.clone(),
-                            received_at,
-                            enqueued_at: Instant::now(),
-                        });
-                        shared.metrics.observe_queue_depth(q.len() as u64);
-                        true
-                    }
-                };
-                if !enqueued {
-                    shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.count_error(ErrorCode::Busy);
-                    log_inline(
-                        shared,
-                        seq,
-                        &rid,
-                        kind,
-                        ErrorCode::Busy.as_str(),
-                        received_at,
-                    );
-                    let e = WireError::new(ErrorCode::Busy, "work queue is full");
-                    if respond(&mut writer, frame.id, Reply::Error(e)).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                shared.queue_cv.notify_one();
-                match rx.recv() {
-                    Ok(line) => {
-                        if write_line(&mut writer, &line).is_err() {
-                            return;
-                        }
-                    }
-                    // Worker pool went away mid-request (shutdown race):
-                    // the job was dropped unprocessed, so the worker
-                    // never logged it — account for it here.
-                    Err(_) => {
-                        shared.metrics.count_error(ErrorCode::ShuttingDown);
-                        log_inline(
-                            shared,
-                            seq,
-                            &rid,
-                            kind,
-                            ErrorCode::ShuttingDown.as_str(),
-                            received_at,
-                        );
-                        let e = WireError::new(ErrorCode::ShuttingDown, "server stopped");
-                        let _ = respond(&mut writer, frame.id, Reply::Error(e));
-                        return;
-                    }
-                }
-            }
+            continue;
+        }
+        // Control requests are answered here, counted before the
+        // snapshot so it includes them.
+        shared.completed.fetch_add(1, Ordering::Relaxed);
+        shared.log_inline(&arrival, kind, "ok");
+        let reply = match frame.request {
+            Request::Stats => Reply::Stats(shared.stats_value()),
+            Request::Metrics => Reply::Metrics(shared.metrics_text()),
+            _ => Reply::Shutdown,
+        };
+        let sent = respond(&mut writer, frame.id, reply);
+        if kind == "shutdown" {
+            // The accepted socket's local address is the listener's
+            // address, which the shutdown self-connect needs.
+            let addr = writer
+                .local_addr()
+                .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0)));
+            initiate_shutdown(shared, addr);
+            return;
+        }
+        if sent.is_err() {
+            return;
         }
     }
+}
+
+/// Queues one work frame and relays its answer. Returns whether the
+/// connection stays open.
+fn dispatch(writer: &mut TcpStream, shared: &Arc<Shared>, frame: Frame, arrival: Arrival) -> bool {
+    let (id, kind) = (frame.id, frame.request.kind());
+    if shared.shutdown.load(Ordering::SeqCst) {
+        let e = WireError::new(ErrorCode::ShuttingDown, "server is shutting down");
+        return refuse(writer, shared, &arrival, kind, id, e).is_ok();
+    }
+    let (tx, rx) = mpsc::channel();
+    {
+        let mut q = shared.queue.lock().expect("queue lock");
+        if q.len() >= shared.cfg.queue_cap {
+            drop(q);
+            let e = WireError::new(ErrorCode::Busy, "work queue is full");
+            return refuse(writer, shared, &arrival, kind, id, e).is_ok();
+        }
+        q.push_back(Job {
+            frame,
+            reply: tx,
+            arrival: arrival.clone(),
+            enqueued_at: Instant::now(),
+        });
+        shared.metrics.observe_queue_depth(q.len() as u64);
+    }
+    shared.queue_cv.notify_one();
+    match rx.recv() {
+        Ok(line) => write_line(writer, &line).is_ok(),
+        // Worker pool went away mid-request (shutdown race): the job was
+        // dropped unprocessed, so the worker never logged it — account
+        // for it here.
+        Err(_) => {
+            let e = WireError::new(ErrorCode::ShuttingDown, "server stopped");
+            let _ = refuse(writer, shared, &arrival, kind, id, e);
+            false
+        }
+    }
+}
+
+/// Refuses a frame on the connection thread: counts the error under
+/// its code, writes the frame's one access-log line and sends the
+/// error reply.
+fn refuse(
+    writer: &mut TcpStream,
+    shared: &Shared,
+    arrival: &Arrival,
+    kind: &'static str,
+    id: u64,
+    e: WireError,
+) -> std::io::Result<()> {
+    shared.metrics.count_error(e.code);
+    shared.log_inline(arrival, kind, e.code.as_str());
+    respond(writer, id, Reply::Error(e))
 }
 
 fn respond(writer: &mut TcpStream, id: u64, reply: Reply) -> std::io::Result<()> {

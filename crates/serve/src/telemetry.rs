@@ -38,14 +38,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Parses `ISAX_SERVE_LOG` with the shared observability grammar.
-pub fn access_mode() -> EnvMode {
-    match std::env::var("ISAX_SERVE_LOG") {
-        Ok(v) => isax_trace::parse_env_value(&v),
-        Err(_) => EnvMode::Off,
-    }
-}
-
 /// The deterministic request id: arrival sequence plus a content
 /// fingerprint of the frame bytes. No clock, no randomness.
 #[must_use]
@@ -54,7 +46,7 @@ pub fn request_id(seq: u64, content_fp: u64) -> String {
 }
 
 /// One finished request, as recorded in the access log.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AccessRecord {
     /// Arrival sequence number (1-based, equals the `received` counter
     /// at read time).
@@ -246,11 +238,16 @@ impl ServeMetrics {
         self.by_code[code.index()].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Errors counted so far with the given code.
+    pub fn errors(&self, code: ErrorCode) -> u64 {
+        self.by_code[code.index()].load(Ordering::Relaxed)
+    }
+
     /// The per-code error counters, in [`ErrorCode::ALL`] order.
     pub fn by_code(&self) -> Vec<(ErrorCode, u64)> {
         ErrorCode::ALL
             .iter()
-            .map(|c| (*c, self.by_code[c.index()].load(Ordering::Relaxed)))
+            .map(|c| (*c, self.errors(*c)))
             .collect()
     }
 

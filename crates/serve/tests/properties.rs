@@ -60,13 +60,19 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     })
 }
 
+/// Area budgets the wire accepts: finite and not negative (the
+/// out-of-range ones are `wire_fields_decode_by_their_rule`'s).
+fn area_budget() -> impl Strategy<Value = f64> {
+    finite_f64().prop_map(f64::abs)
+}
+
 fn any_request() -> impl Strategy<Value = Request> {
     (
         0usize..5,
         any_string(),
         any_string(),
         any_string(),
-        finite_f64(),
+        area_budget(),
         (any::<bool>(), any::<bool>(), any_opt_u64()),
     )
         .prop_map(
@@ -147,6 +153,28 @@ fn any_json_leaf() -> impl Strategy<Value = Value> {
         })
 }
 
+/// Any JSON value a client could put in a request field: every leaf
+/// kind, plus arrays and objects of leaves.
+fn any_field_value() -> impl Strategy<Value = Value> {
+    (
+        0usize..4,
+        any_json_leaf(),
+        proptest::collection::vec(any_json_leaf(), 0..3),
+        any_string(),
+    )
+        .prop_map(|(which, leaf, items, key)| match which {
+            0 => Value::Array(items),
+            1 => Value::Object(items.into_iter().map(|v| (key.clone(), v)).collect()),
+            _ => leaf,
+        })
+}
+
+/// Two field values are the same wire value: equal, or numbers of equal
+/// value (a budget sent as `3` comes back as `3.0`).
+fn same_value(a: &Value, b: &Value) -> bool {
+    a == b || matches!((a.as_f64(), b.as_f64()), (Some(x), Some(y)) if x == y)
+}
+
 /// A stats-shaped document: an object with unique, sorted keys whose
 /// values are round-trippable leaves or arrays of leaves.
 fn any_stats() -> impl Strategy<Value = Value> {
@@ -207,6 +235,63 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
         prop_assert_eq!(back, frame);
         prop_assert_eq!(frame_id(&line), id);
+    }
+
+    /// Every request field is decoded by its one typed rule: an
+    /// arbitrary JSON value put in any field (or in an unknown one)
+    /// either decodes to a request that re-encodes that same value, or
+    /// is refused with a `bad-request` that names the field. No value
+    /// falls back to a default.
+    #[test]
+    fn wire_fields_decode_by_their_rule(
+        compile in any::<bool>(),
+        pick in 0usize..8,
+        value in any_field_value(),
+    ) {
+        let (request, fields) = if compile {
+            let request = Request::Compile {
+                kernel: "k".into(),
+                name: "n".into(),
+                mdes: "{}".into(),
+                subsumed: false,
+                wildcard: false,
+                work_budget: None,
+            };
+            (request, ["id", "kernel", "name", "mdes", "subsumed", "wildcard", "work_budget", "pad"])
+        } else {
+            let request = Request::Customize {
+                kernel: "k".into(),
+                name: "n".into(),
+                budget: 15.0,
+                multifunction: false,
+                work_budget: None,
+            };
+            (request, ["id", "kernel", "name", "budget", "multifunction", "work_budget", "pad", "wildcard"])
+        };
+        let field = fields[pick];
+        let line = encode_request(&Frame { id: 1, request });
+        let Ok(Value::Object(mut pairs)) = isax_json::parse(&line) else {
+            return Err(TestCaseError::fail("an encoded request is a JSON object"));
+        };
+        pairs.retain(|(k, _)| k != field);
+        pairs.push((field.to_string(), value.clone()));
+        match decode_request(&Value::Object(pairs).to_string_compact()) {
+            Ok(frame) => {
+                let back = isax_json::parse(&encode_request(&frame)).expect("re-encoded JSON");
+                let got = back.get(field).cloned().unwrap_or(Value::Null);
+                prop_assert!(
+                    same_value(&got, &value),
+                    "`{}`: sent {:?}, decoded to {:?}", field, value, got
+                );
+            }
+            Err(e) => {
+                prop_assert_eq!(e.code, ErrorCode::BadRequest);
+                prop_assert!(
+                    e.message.contains(&format!("`{field}`")),
+                    "`{}` refusal does not name the field: {}", field, e.message
+                );
+            }
+        }
     }
 
     /// `encode_response → decode_response` is the identity and is

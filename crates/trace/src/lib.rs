@@ -494,6 +494,12 @@ pub fn parse_env_value(v: &str) -> EnvMode {
     }
 }
 
+/// Reads the observability variable `name` now and parses it with
+/// [`parse_env_value`]; unset (or not Unicode) is [`EnvMode::Off`].
+pub fn env_mode(name: &str) -> EnvMode {
+    std::env::var(name).map_or(EnvMode::Off, |v| parse_env_value(&v))
+}
+
 /// A trace session configured from the `ISAX_TRACE` and `ISAX_FLAME`
 /// environment variables, used by binaries: `ISAX_TRACE=1` (or
 /// `on`/`true`/`yes`) prints the stage summary to stderr on
@@ -515,12 +521,8 @@ pub struct EnvTrace {
 /// empty all mean disabled). Binaries call this first thing and
 /// [`EnvTrace::finish`] last thing.
 pub fn init_from_env() -> Option<EnvTrace> {
-    let trace = std::env::var("ISAX_TRACE")
-        .map(|v| parse_env_value(&v))
-        .unwrap_or(EnvMode::Off);
-    let flame = std::env::var("ISAX_FLAME")
-        .map(|v| parse_env_value(&v))
-        .unwrap_or(EnvMode::Off);
+    let trace = env_mode("ISAX_TRACE");
+    let flame = env_mode("ISAX_FLAME");
     if trace == EnvMode::Off && flame == EnvMode::Off {
         return None;
     }

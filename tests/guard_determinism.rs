@@ -60,14 +60,7 @@ fn run(kernel: &str) -> Artifacts {
 
     Artifacts {
         mdes_json: mdes.to_json().expect("mdes serializes"),
-        assembly: ev
-            .compiled
-            .program
-            .functions
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n"),
+        assembly: ev.compiled.program.functions_text(),
         custom_cycles: ev.custom_cycles,
         degradations,
     }

@@ -27,14 +27,7 @@ fn run(cz: &Customizer, name: &str) -> (String, String, u64, usize) {
         ev.compiled.report.degradations.is_empty(),
         "{name}: inactive guard produced compile degradations"
     );
-    let assembly = ev
-        .compiled
-        .program
-        .functions
-        .iter()
-        .map(|f| f.to_string())
-        .collect::<Vec<_>>()
-        .join("\n");
+    let assembly = ev.compiled.program.functions_text();
     (
         mdes.to_json().expect("mdes serializes"),
         assembly,

@@ -23,13 +23,7 @@ fn all_benchmark_kernels_round_trip() {
 #[test]
 fn parsed_kernels_execute_identically() {
     for w in isax_workloads::all() {
-        let text: String = w
-            .program
-            .functions
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n");
+        let text = w.program.functions_text();
         let parsed: Program = parse_program(&text).expect("parses");
         let mut mem_a = Memory::new();
         (w.init_memory)(&mut mem_a, 5);

@@ -48,14 +48,6 @@ struct ProvRun {
     mdes: isax::Mdes,
 }
 
-fn program_text(p: &isax_ir::Program) -> String {
-    p.functions
-        .iter()
-        .map(|f| f.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 fn run_pipeline(name: &str, budget: f64) -> ProvRun {
     let cz = Customizer::new();
     let w = isax_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
@@ -68,7 +60,7 @@ fn run_pipeline(name: &str, budget: f64) -> ProvRun {
     ProvRun {
         artifacts: Artifacts {
             mdes_json: mdes.to_json().expect("mdes serializes"),
-            program_text: program_text(&ev.compiled.program),
+            program_text: ev.compiled.program.functions_text(),
             baseline_cycles: ev.baseline_cycles,
             custom_cycles: ev.custom_cycles,
             vf2_calls: ev.compiled.match_stats.vf2_calls,
@@ -202,11 +194,10 @@ proptest! {
 }
 
 /// `ISAX_TRACE`, `ISAX_PROV` and `ISAX_SERVE_STATS` all parse through
-/// the one shared helper in `isax-trace`; this is its direct unit test.
-/// (It replaced a lockstep test that compared two hand-duplicated
-/// copies — `isax_prov::parse_env_value` and `isax_serve::stats_mode`'s
-/// parser are now re-exports of the same item, so type identity makes
-/// divergence impossible.)
+/// the one shared helper in `isax-trace` (the observability variables
+/// through `isax_trace::env_mode`); this is its direct unit test.
+/// `isax_prov::parse_env_value` is a re-export of the same item, so
+/// type identity makes divergence impossible.
 #[test]
 fn env_value_grammar() {
     use isax_trace::{parse_env_value, EnvMode};

@@ -25,21 +25,11 @@ use std::sync::Mutex;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// The CLI's `--emit` text form: functions in the `Display` assembly
-/// format, joined by blank separators.
-fn program_text(p: &isax_ir::Program) -> String {
-    p.functions
-        .iter()
-        .map(|f| f.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Every paper workload plus every curated kernel, as (name, source).
 fn corpus() -> Vec<(String, String)> {
     let mut kernels: Vec<(String, String)> = isax_workloads::all()
         .into_iter()
-        .map(|w| (w.name.to_string(), program_text(&w.program)))
+        .map(|w| (w.name.to_string(), w.program.functions_text()))
         .collect();
     for k in isax_gen::curated() {
         kernels.push((k.name.to_string(), (k.text)()));
@@ -394,7 +384,7 @@ fn degrade_like_the_cli(multifunction: bool) {
     });
     // A paper kernel, governed so tightly the greedy scan cannot finish.
     let w = isax_workloads::by_name("crc").unwrap();
-    let text = program_text(&w.program);
+    let text = w.program.functions_text();
     let tight: u64 = 50;
     let cli = cli_reference(&dir, "crc", &text, 15.0, multifunction, Some(tight));
 
@@ -469,7 +459,7 @@ fn degrade_like_the_cli(multifunction: bool) {
 fn env_governed_results_are_keyed_by_their_guard_and_deadlines_never_cached() {
     let _guard = TEST_LOCK.lock().unwrap();
     let w = isax_workloads::by_name("crc").unwrap();
-    let text = program_text(&w.program);
+    let text = w.program.functions_text();
     let spawn = |run: isax::RunConfig| {
         let cfg = ServeConfig {
             workers: 1,
@@ -656,10 +646,47 @@ fn metrics_deterministic_section_is_worker_count_invariant() {
     assert!(det1.contains("isax_serve_cache_hits_total 1"));
 }
 
+/// Asserts a server's refusal bookkeeping: `by_code` holds exactly
+/// `codes` (one count each, every other code zero), and every received
+/// frame was either completed or counted under a code.
+fn assert_refusals_counted(server: &Server, codes: &[&str]) {
+    let stats = server.stats_value();
+    let requests = stats.get("requests").expect("stats.requests");
+    let count = |k: &str| requests.get(k).and_then(|v| v.as_u64()).unwrap();
+    let by_code = requests
+        .get("by_code")
+        .and_then(|v| v.as_object())
+        .expect("stats.requests.by_code");
+    for (code, n) in by_code {
+        let want = codes.iter().filter(|c| **c == code).count() as u64;
+        assert_eq!(n.as_u64(), Some(want), "by_code[{code}]");
+    }
+    let refused: u64 = by_code.iter().filter_map(|(_, v)| v.as_u64()).sum();
+    assert_eq!(count("received"), count("completed") + refused);
+}
+
+/// The access log's outcomes, one per line, sorted.
+fn logged_outcomes(path: &Path) -> Vec<String> {
+    let log = std::fs::read_to_string(path).expect("access log written");
+    let mut outcomes: Vec<String> = log
+        .lines()
+        .map(|l| {
+            let rec = isax_json::parse(l).expect("access-log line is valid JSON");
+            rec.get("outcome")
+                .and_then(|v| v.as_str())
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    outcomes.sort();
+    outcomes
+}
+
 /// Every request the server receives — accepted work, cache hits,
-/// malformed frames, busy rejections, control requests — produces
-/// exactly one access-log line, with the outcome and deterministic
-/// request id on it.
+/// control requests and every kind of refusal (malformed, busy,
+/// oversized, truncated, shutting down) — produces exactly one
+/// access-log line, with the outcome and deterministic request id on
+/// it, and each refusal counts once under its code.
 #[test]
 fn access_log_records_every_request_exactly_once() {
     let _guard = TEST_LOCK.lock().unwrap();
@@ -693,6 +720,7 @@ fn access_log_records_every_request_exactly_once() {
         .unwrap();
     assert_eq!(received, 4, "4 frames sent");
     assert_eq!(server.access_log_lines(), received);
+    assert_refusals_counted(&server, &["malformed-frame"]);
     server.shutdown();
 
     let log = std::fs::read_to_string(&log_path).expect("access log written");
@@ -762,10 +790,49 @@ fn access_log_records_every_request_exactly_once() {
         .expect_err("zero-capacity queue rejects");
     assert_eq!(err.code, ErrorCode::Busy);
     assert_eq!(server.access_log_lines(), 1);
+    assert_refusals_counted(&server, &["busy"]);
     server.shutdown();
-    let log = std::fs::read_to_string(&log2).expect("access log written");
-    let rec = isax_json::parse(log.lines().next().unwrap()).unwrap();
-    assert_eq!(rec.get("outcome").and_then(|v| v.as_str()), Some("busy"));
+    assert_eq!(logged_outcomes(&log2), ["busy"]);
+
+    // Oversized and truncated frames, and work sent after shutdown
+    // began (both connections are opened first: the accept loop stops
+    // at shutdown).
+    let log3 = dir.join("access3.jsonl");
+    let server = Server::spawn(ServeConfig {
+        workers: 1,
+        max_frame_bytes: 64 * 1024,
+        access_log: EnvMode::Path(log3.display().to_string()),
+        stats: EnvMode::Off,
+        ..ServeConfig::default()
+    })
+    .expect("server spawns");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut trunc = Client::connect(server.addr()).unwrap();
+    let huge = format!(
+        "{{\"req\":\"stats\",\"pad\":\"{}\"}}",
+        "x".repeat(80 * 1024)
+    );
+    let resp = client.send_raw(&huge).expect("transport ok");
+    assert!(matches!(resp.reply, Reply::Error(ref e) if e.code == ErrorCode::OversizedFrame));
+    trunc.write_bytes(b"{\"req\":\"stats\"").unwrap();
+    trunc.shutdown_write().unwrap();
+    let resp = trunc.read_response().expect("truncation error is sent");
+    assert!(matches!(resp.reply, Reply::Error(ref e) if e.code == ErrorCode::TruncatedFrame));
+    server.initiate_shutdown();
+    let err = client
+        .artifacts(customize_request(name, text, false, None))
+        .expect_err("no work is admitted after shutdown begins");
+    assert_eq!(err.code, ErrorCode::ShuttingDown);
+    assert_eq!(server.access_log_lines(), 3);
+    assert_refusals_counted(
+        &server,
+        &["oversized-frame", "truncated-frame", "shutting-down"],
+    );
+    server.join();
+    assert_eq!(
+        logged_outcomes(&log3),
+        ["oversized-frame", "shutting-down", "truncated-frame"]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -179,16 +179,12 @@ fn dp_and_greedy_are_both_credible() {
 #[test]
 fn limit_study_bounds_constrained_results() {
     let cz = Customizer::new();
-    for name in ["blowfish", "rawdaudio", "url"] {
-        let w = by_name(name).unwrap();
-        let analysis = cz.analyze(&w.program);
-        let constrained = isax::native_speedup(&cz, w.name, &w.program, &analysis, 15.0);
-        let limit = isax::limit_speedup(&cz, w.name, &w.program);
+    for (name, app) in isax_bench::analyze_subset(&cz, &["blowfish", "rawdaudio", "url"]) {
+        let constrained = isax_bench::native(&cz, &app, 15.0);
+        let limit = isax_bench::limit(&cz, name, &app.workload.program);
         assert!(
-            limit.speedup >= constrained.speedup - 1e-9,
-            "{name}: limit {:.3} < constrained {:.3}",
-            limit.speedup,
-            constrained.speedup
+            limit >= constrained - 1e-9,
+            "{name}: limit {limit:.3} < constrained {constrained:.3}"
         );
     }
 }

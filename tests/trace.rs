@@ -38,16 +38,6 @@ struct Artifacts {
     vf2_calls: u64,
 }
 
-/// The CLI's `--emit` text form: functions in the `Display` assembly
-/// format, joined by blank separators.
-fn program_text(p: &isax_ir::Program) -> String {
-    p.functions
-        .iter()
-        .map(|f| f.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 fn run_pipeline(name: &str) -> Artifacts {
     let cz = Customizer::new();
     let w = isax_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
@@ -56,7 +46,7 @@ fn run_pipeline(name: &str) -> Artifacts {
     let ev = cz.evaluate(&w.program, &mdes, MatchOptions::with_subsumed());
     Artifacts {
         mdes_json: mdes.to_json().expect("mdes serializes"),
-        program_text: program_text(&ev.compiled.program),
+        program_text: ev.compiled.program.functions_text(),
         baseline_cycles: ev.baseline_cycles,
         custom_cycles: ev.custom_cycles,
         vf2_calls: ev.compiled.match_stats.vf2_calls,
@@ -223,7 +213,7 @@ fn cli_trace_out_writes_a_valid_chrome_trace() {
     let mdes_out = dir.join("mdes.json");
     let trace_out = dir.join("trace.json");
     let w = isax_workloads::by_name("crc").unwrap();
-    std::fs::write(&kernel, program_text(&w.program)).unwrap();
+    std::fs::write(&kernel, w.program.functions_text()).unwrap();
 
     let cmd = isax_cli::Command::Customize {
         file: kernel.display().to_string(),
