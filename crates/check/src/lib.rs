@@ -22,10 +22,12 @@
 //! * [`check_differential`] — differential semantic verification: the
 //!   original and customized programs are interpreted on the same
 //!   inputs and must agree on results and memory (`IC05xx`);
-//! * [`check_provenance`] — provenance-report cross-validation: every
-//!   selected CFU was discovered on the record, `Replaced` cycle deltas
-//!   sum to the compiled program's claimed savings, no event references
-//!   an unknown candidate or CFU (`IC07xx`);
+//! * [`check_provenance`] — provenance-report cross-validation over
+//!   the events `isax_prov::parse_report` decodes: the report decodes
+//!   and re-encodes identically, every selected CFU was discovered on
+//!   the record, `Replaced` cycle deltas sum to the compiled program's
+//!   claimed savings, no event references an unknown candidate or CFU
+//!   (`IC07xx`);
 //! * [`lint_function`] / [`lint_program`] / [`check_value_facts`] —
 //!   dataflow-driven lints over the interval and known-bits fixpoints
 //!   (suspicious-but-legal code, warnings) and runtime soundness of the

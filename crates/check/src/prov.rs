@@ -2,12 +2,14 @@
 //!
 //! A provenance report (`isax-prov`) claims a story about a run: which
 //! candidates were discovered, which were pruned, which became CFUs and
-//! how many cycles each replacement saved. This pass cross-validates
-//! that story against the run's actual artifacts:
+//! how many cycles each replacement saved. This pass decodes the report
+//! with [`isax_prov::parse_report`] and cross-validates that story
+//! against the run's actual artifacts:
 //!
-//! * `IC0700` — the report itself is structurally sound (version,
-//!   fingerprint syntax, known fates and event kinds, consistent
-//!   event/stage pairing);
+//! * `IC0700` — the report does not decode (its decoder message says
+//!   which field of which candidate and event), or does not re-encode
+//!   identically: its stored fates, aggregates or summary disagree with
+//!   its events;
 //! * `IC0701` — every CFU in the MDES has a `SelectedAsCfu` event whose
 //!   candidate was also `Discovered` (nothing was selected out of thin
 //!   air);
@@ -20,26 +22,33 @@
 
 use crate::diag::{Diagnostic, Location, Report};
 use isax_compiler::{CompiledProgram, Mdes};
+use isax_json::Value;
+use isax_prov::{Fate, ProvEvent};
 
-/// Known terminal fates, mirroring `isax_prov::Fate::as_str`.
-const FATES: [&str; 3] = ["selected", "not_selected", "pruned"];
-
-/// Known `(event kind, stage)` pairs, mirroring
-/// `isax_prov::ProvEvent::{kind, stage}`.
-const KINDS: [(&str, &str); 7] = [
-    ("discovered", "explore"),
-    ("pruned", "explore"),
-    ("subsumed_by", "select"),
-    ("wildcarded", "select"),
-    ("selected_as_cfu", "select"),
-    ("matched", "compile"),
-    ("replaced", "compile"),
-];
-
-fn valid_fingerprint(s: &str) -> bool {
-    s.len() == 16
-        && s.bytes()
-            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+/// The path of the first place `a` and `b` differ (`` for the root),
+/// or `None` when they are equal.
+fn first_difference(a: &Value, b: &Value) -> Option<String> {
+    match (a, b) {
+        (Value::Object(x), Value::Object(y)) => x
+            .iter()
+            .find_map(|(k, va)| match b.get(k) {
+                None => Some(format!(".{k}")),
+                Some(vb) => first_difference(va, vb).map(|p| format!(".{k}{p}")),
+            })
+            .or_else(|| {
+                y.iter()
+                    .find(|(k, _)| a.get(k).is_none())
+                    .map(|(k, _)| format!(".{k}"))
+            })
+            .or_else(|| (a != b).then(String::new)),
+        (Value::Array(x), Value::Array(y)) => x
+            .iter()
+            .zip(y)
+            .enumerate()
+            .find_map(|(i, (va, vb))| first_difference(va, vb).map(|p| format!("[{i}]{p}")))
+            .or_else(|| (a != b).then(String::new)),
+        _ => (a != b).then(String::new),
+    }
 }
 
 /// Cross-validates a provenance report against the run that produced it.
@@ -48,197 +57,115 @@ fn valid_fingerprint(s: &str) -> bool {
 /// Pass the run's `mdes` to enable the selection cross-checks
 /// (`IC0701`/`IC0703`/`IC0704`) and its `compiled` output to enable the
 /// cycle-accounting check (`IC0702`); with both `None` only the
-/// structural `IC0700` rules run.
+/// decode/re-encode `IC0700` rule runs. A report that does not decode
+/// gets that one `IC0700` and no further checks.
 pub fn check_provenance(
-    report_doc: &isax_json::Value,
+    report_doc: &Value,
     mdes: Option<&Mdes>,
     compiled: Option<&CompiledProgram>,
 ) -> Report {
     let mut r = Report::new();
-    if report_doc.get("version").and_then(|v| v.as_u64()) != Some(isax_prov::REPORT_VERSION) {
+    let (app, log) = match isax_prov::parse_report(report_doc) {
+        Ok(decoded) => decoded,
+        Err(e) => {
+            r.push(Diagnostic::error(
+                "IC0700",
+                Location::Whole,
+                format!("provenance report does not decode: {e}"),
+            ));
+            return r;
+        }
+    };
+    if let Some(at) = first_difference(report_doc, &isax_prov::build_report(&app, &log)) {
         r.push(Diagnostic::error(
             "IC0700",
             Location::Whole,
             format!(
-                "provenance report version is not {}",
-                isax_prov::REPORT_VERSION
+                "provenance report does not re-encode identically (first at `report{at}`): \
+                 its stored fates, aggregates or summary disagree with its events"
             ),
         ));
-        return r;
-    }
-    let Some(candidates) = report_doc.get("candidates").and_then(|v| v.as_array()) else {
-        r.push(Diagnostic::error(
-            "IC0700",
-            Location::Whole,
-            "provenance report has no `candidates` array",
-        ));
-        return r;
-    };
-
-    // Facts accumulated from the event streams.
-    let mut has_select_events = false;
-    let mut selected_ids: Vec<(u16, String, bool)> = Vec::new(); // (id, fingerprint, discovered)
-    let mut referenced_ids: Vec<(u16, String)> = Vec::new(); // (id, via kind)
-    let mut replaced_delta: u64 = 0;
-    let mut pruned_fps: Vec<String> = Vec::new();
-
-    for (ci, cand) in candidates.iter().enumerate() {
-        let fp = cand
-            .get("fingerprint")
-            .and_then(|v| v.as_str())
-            .unwrap_or("");
-        if !valid_fingerprint(fp) {
-            r.push(Diagnostic::error(
-                "IC0700",
-                Location::Whole,
-                format!("candidate {ci}: malformed fingerprint {fp:?}"),
-            ));
-            continue;
-        }
-        let fate = cand.get("fate").and_then(|v| v.as_str()).unwrap_or("");
-        if !FATES.contains(&fate) {
-            r.push(Diagnostic::error(
-                "IC0700",
-                Location::Whole,
-                format!("candidate {fp}: unknown fate {fate:?}"),
-            ));
-        }
-        let Some(events) = cand.get("events").and_then(|v| v.as_array()) else {
-            r.push(Diagnostic::error(
-                "IC0700",
-                Location::Whole,
-                format!("candidate {fp}: missing `events` array"),
-            ));
-            continue;
-        };
-        if events.is_empty() {
-            r.push(Diagnostic::error(
-                "IC0700",
-                Location::Whole,
-                format!("candidate {fp}: empty event stream"),
-            ));
-        }
-        if fate == "pruned" {
-            pruned_fps.push(fp.to_string());
-        }
-        let mut discovered = false;
-        let mut sel_id: Option<u16> = None;
-        for ev in events {
-            let kind = ev.get("event").and_then(|v| v.as_str()).unwrap_or("");
-            let stage = ev.get("stage").and_then(|v| v.as_str()).unwrap_or("");
-            match KINDS.iter().find(|(k, _)| *k == kind) {
-                None => {
-                    r.push(Diagnostic::error(
-                        "IC0700",
-                        Location::Whole,
-                        format!("candidate {fp}: unknown event kind {kind:?}"),
-                    ));
-                    continue;
-                }
-                Some((_, expect_stage)) if *expect_stage != stage => {
-                    r.push(Diagnostic::error(
-                        "IC0700",
-                        Location::Whole,
-                        format!("candidate {fp}: event {kind:?} claims stage {stage:?}"),
-                    ));
-                }
-                Some(_) => {}
-            }
-            if KINDS.iter().any(|(k, s)| *k == kind && *s == "select") {
-                has_select_events = true;
-            }
-            match kind {
-                "discovered" => discovered = true,
-                "selected_as_cfu" => {
-                    if let Some(id) = ev.get("cfu").and_then(|v| v.as_u64()) {
-                        sel_id = Some(id as u16);
-                        referenced_ids.push((id as u16, fp.to_string()));
-                    }
-                }
-                "subsumed_by" => {
-                    if let Some(id) = ev.get("cfu").and_then(|v| v.as_u64()) {
-                        referenced_ids.push((id as u16, fp.to_string()));
-                    }
-                }
-                "wildcarded" => {
-                    if let Some(id) = ev.get("partner").and_then(|v| v.as_u64()) {
-                        referenced_ids.push((id as u16, fp.to_string()));
-                    }
-                }
-                "replaced" => {
-                    let before = ev
-                        .get("cycles_before")
-                        .and_then(|v| v.as_u64())
-                        .unwrap_or(0);
-                    let after = ev.get("cycles_after").and_then(|v| v.as_u64()).unwrap_or(0);
-                    replaced_delta += before.saturating_sub(after);
-                }
-                _ => {}
-            }
-        }
-        if let Some(id) = sel_id {
-            selected_ids.push((id, fp.to_string(), discovered));
-        }
     }
 
+    let cands = isax_prov::candidates(&log);
+    let hex = isax_prov::fingerprint_hex;
     if let Some(mdes) = mdes {
-        let cfu_fps: Vec<String> = mdes
+        let cfu_fps: Vec<u64> = mdes
             .cfus
             .iter()
-            .map(|c| isax_prov::fingerprint_hex(isax_select::pattern_fingerprint(&c.pattern).0))
+            .map(|c| isax_select::pattern_fingerprint(&c.pattern).0)
             .collect();
         // IC0701: every MDES CFU was selected on the record, from a
         // discovered candidate. Only meaningful when the report covers
         // the select stage (a compile-only report legitimately has no
         // selection events).
-        if has_select_events {
-            for spec in &mdes.cfus {
-                match selected_ids.iter().find(|(id, _, _)| *id == spec.id) {
-                    None => r.push(Diagnostic::error(
-                        "IC0701",
-                        Location::Cfu { id: spec.id },
-                        "CFU in the MDES has no SelectedAsCfu event in the provenance report",
-                    )),
-                    Some((_, fp, discovered)) => {
-                        if fp != &cfu_fps[spec.id as usize] {
-                            r.push(Diagnostic::error(
-                                "IC0703",
-                                Location::Cfu { id: spec.id },
-                                format!(
-                                    "SelectedAsCfu candidate {fp} does not match the CFU's \
-                                     pattern fingerprint {}",
-                                    cfu_fps[spec.id as usize]
-                                ),
-                            ));
-                        }
-                        if !discovered {
-                            r.push(Diagnostic::error(
-                                "IC0701",
-                                Location::Cfu { id: spec.id },
-                                "selected CFU's candidate has no Discovered event",
-                            ));
-                        }
-                    }
-                }
+        let covers_select = log.events().iter().any(|(_, e)| e.stage() == "select");
+        for id in mdes
+            .cfus
+            .iter()
+            .map(|spec| spec.id)
+            .filter(|_| covers_select)
+        {
+            let Some(c) = cands.iter().find(|c| c.cfu == Some(id)) else {
+                r.push(Diagnostic::error(
+                    "IC0701",
+                    Location::Cfu { id },
+                    "CFU in the MDES has no SelectedAsCfu event in the provenance report",
+                ));
+                continue;
+            };
+            if c.fingerprint != cfu_fps[id as usize] {
+                r.push(Diagnostic::error(
+                    "IC0703",
+                    Location::Cfu { id },
+                    format!(
+                        "SelectedAsCfu candidate {} does not match the CFU's pattern fingerprint {}",
+                        hex(c.fingerprint),
+                        hex(cfu_fps[id as usize])
+                    ),
+                ));
+            }
+            if !c
+                .events
+                .iter()
+                .any(|e| matches!(e, ProvEvent::Discovered { .. }))
+            {
+                r.push(Diagnostic::error(
+                    "IC0701",
+                    Location::Cfu { id },
+                    "selected CFU's candidate has no Discovered event",
+                ));
             }
         }
         // IC0703: every referenced CFU id must exist in the MDES.
-        for (id, fp) in &referenced_ids {
+        for (fp, ev) in log.events() {
+            let (ProvEvent::SelectedAsCfu { cfu: id, .. }
+            | ProvEvent::SubsumedBy { cfu: id }
+            | ProvEvent::Wildcarded { partner: id }) = ev
+            else {
+                continue;
+            };
             if mdes.cfu(*id).is_none() {
                 r.push(Diagnostic::error(
                     "IC0703",
                     Location::Cfu { id: *id },
-                    format!("candidate {fp} references CFU id {id} unknown to the MDES"),
+                    format!(
+                        "candidate {} references CFU id {id} unknown to the MDES",
+                        hex(*fp)
+                    ),
                 ));
             }
         }
         // IC0704: a pruned candidate by definition never became a CFU.
-        for fp in &pruned_fps {
-            if let Some(pos) = cfu_fps.iter().position(|c| c == fp) {
+        for c in cands.iter().filter(|c| c.fate == Fate::Pruned) {
+            if let Some(pos) = cfu_fps.iter().position(|&fp| fp == c.fingerprint) {
                 r.push(Diagnostic::error(
                     "IC0704",
                     Location::Cfu { id: pos as u16 },
-                    format!("candidate {fp} has fate `pruned` but appears in the MDES"),
+                    format!(
+                        "candidate {} has fate `pruned` but appears in the MDES",
+                        hex(c.fingerprint)
+                    ),
                 ));
             }
         }
@@ -250,6 +177,9 @@ pub fn check_provenance(
     // reports (before scheduling slack).
     if let Some(compiled) = compiled {
         let claimed: u64 = compiled.applied.iter().map(|a| a.savings).sum();
+        let replaced_delta = cands
+            .iter()
+            .fold(0u64, |sum, c| sum.saturating_add(c.cycles_saved));
         if claimed != replaced_delta {
             r.push(Diagnostic::error(
                 "IC0702",
@@ -276,48 +206,70 @@ mod tests {
         isax_json::parse(text).expect("test JSON parses")
     }
 
+    /// A one-candidate report: a seed operation discovered in DFG 0.
+    fn minimal_report() -> String {
+        let mut log = isax_prov::ProvLog::default();
+        log.record(
+            0xab,
+            ProvEvent::Discovered {
+                dfg: 0,
+                size: 1,
+                delay: 0.0,
+                area: 0.0,
+                inputs: 1,
+                outputs: 1,
+                score: None,
+            },
+        );
+        isax_prov::build_report("demo", &log).to_string_pretty()
+    }
+
     #[test]
     fn structural_rules_fire_on_malformed_reports() {
-        let bad_version = parse(r#"{"version": 99, "candidates": []}"#);
-        let r = check_provenance(&bad_version, None, None);
-        assert!(r.has_code("IC0700"));
-
-        let bad_fp = parse(
-            r#"{"version": 1, "candidates": [
-                {"fingerprint": "xyz", "fate": "selected", "events": []}
-            ]}"#,
-        );
-        let r = check_provenance(&bad_fp, None, None);
-        assert!(r.has_code("IC0700"));
-
-        let bad_fate = parse(
-            r#"{"version": 1, "candidates": [
-                {"fingerprint": "00000000000000ab", "fate": "vanished",
-                 "events": [{"event": "discovered", "stage": "explore"}]}
-            ]}"#,
-        );
-        let r = check_provenance(&bad_fate, None, None);
-        assert!(r.has_code("IC0700"));
-
-        let wrong_stage = parse(
-            r#"{"version": 1, "candidates": [
-                {"fingerprint": "00000000000000ab", "fate": "not_selected",
-                 "events": [{"event": "discovered", "stage": "compile"}]}
-            ]}"#,
-        );
-        let r = check_provenance(&wrong_stage, None, None);
-        assert!(r.has_code("IC0700"));
+        let text = minimal_report();
+        for (from, to, names) in [
+            ("\"version\": 1", "\"version\": 99", "version 99"),
+            (
+                "\"00000000000000ab\"",
+                "\"xyz\"",
+                "candidate 0: bad `fingerprint`",
+            ),
+            (
+                "\"fate\": \"",
+                "\"fate\": \"vanished-",
+                "candidate 0: bad `fate`",
+            ),
+            (
+                "\"stage\": \"explore\"",
+                "\"stage\": \"compile\"",
+                "candidate 0: event 0: bad `stage`",
+            ),
+            (
+                "\"inputs\": 1",
+                "\"inputs\": \"one\"",
+                "event 0: bad `inputs`",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let r = check_provenance(&parse(&text.replacen(from, to, 1)), None, None);
+            assert!(r.has_code("IC0700"), "{to}");
+            assert_eq!(r.diagnostics().len(), 1, "{r}");
+            assert!(r.to_string().contains(names), "{r}");
+        }
     }
 
     #[test]
     fn clean_minimal_report_passes() {
-        let doc = parse(
-            r#"{"version": 1, "candidates": [
-                {"fingerprint": "00000000000000ab", "fate": "not_selected",
-                 "events": [{"event": "discovered", "stage": "explore"}]}
-            ]}"#,
-        );
-        assert!(check_provenance(&doc, None, None).is_clean());
+        let text = minimal_report();
+        let r = check_provenance(&parse(&text), None, None);
+        assert!(r.is_clean(), "{r}");
+
+        // The same report with a stored fate its events do not support.
+        let fate = |f: Fate| format!("\"fate\": \"{}\"", f.as_str());
+        let text = text.replace(&fate(Fate::NotSelected), &fate(Fate::Selected));
+        let r = check_provenance(&parse(&text), None, None);
+        assert!(r.has_code("IC0700"), "{r}");
+        assert!(r.to_string().contains("candidates[0].fate"), "{r}");
     }
 
     /// One end-to-end test: a real pipeline run with recording on
@@ -361,22 +313,30 @@ mod tests {
         let mut text = doc.to_string_pretty();
         assert!(text.contains("cycles_before"));
         text = text.replacen("\"cycles_before\": ", "\"cycles_before\": 9", 1);
-        let tampered = parse(&text);
+        let r = check_provenance(&parse(&text), Some(&mdes), Some(&compiled));
+        assert!(r.has_code("IC0702"), "inflated savings must be caught");
         assert!(
-            check_provenance(&tampered, Some(&mdes), Some(&compiled)).has_code("IC0702"),
-            "inflated savings must be caught"
+            r.has_code("IC0700"),
+            "the stored cycles_saved no longer matches the events"
         );
 
-        // Drop every selection event → IC0701 (the MDES CFU has no
-        // on-the-record selection).
-        let no_select = doc
-            .to_string_pretty()
-            .replace("\"selected_as_cfu\"", "\"subsumed_by\"");
-        let tampered = parse(&no_select);
-        assert!(
-            check_provenance(&tampered, Some(&mdes), Some(&compiled)).has_code("IC0701"),
-            "missing SelectedAsCfu must be caught"
-        );
+        // Turn every selection into a subsumption → IC0701 (the MDES
+        // CFU has no on-the-record selection). The tampered report is
+        // built from the edited log, so it still decodes and re-encodes.
+        let mut no_select = isax_prov::ProvLog::default();
+        for (fp, ev) in log.events() {
+            no_select.record(
+                *fp,
+                match ev {
+                    ProvEvent::SelectedAsCfu { cfu, .. } => ProvEvent::SubsumedBy { cfu: *cfu },
+                    other => other.clone(),
+                },
+            );
+        }
+        let tampered = isax_prov::build_report("kern", &no_select);
+        let r = check_provenance(&tampered, Some(&mdes), Some(&compiled));
+        assert!(r.has_code("IC0701"), "missing SelectedAsCfu must be caught");
+        assert!(!r.has_code("IC0700"), "{r}");
 
         // Reference a CFU id the MDES does not know → IC0703.
         let bad_id = doc.to_string_pretty().replace("\"cfu\": 0", "\"cfu\": 200");

@@ -550,6 +550,86 @@ pub fn sorted_object(map: BTreeMap<String, Value>) -> Value {
     Value::Object(map.into_iter().collect())
 }
 
+/// An object's fields, read one typed rule at a time: the strict decoder
+/// behind the serve protocol and the provenance report. Every key a rule
+/// asks for is remembered, so [`Fields::finish`] can refuse the fields no
+/// rule read. Errors are short messages naming the field, for the caller
+/// to wrap with where the object sits.
+///
+/// ```
+/// let v = isax_json::parse(r#"{"n": 3, "x": true}"#).unwrap();
+/// let mut f = isax_json::Fields::of(&v).unwrap();
+/// assert_eq!(f.req("n", "an integer", isax_json::Value::as_u64), Ok(3));
+/// assert_eq!(f.finish(), Err("unknown field `x`".to_string()));
+/// ```
+pub struct Fields<'a> {
+    pairs: &'a [(String, Value)],
+    read: Vec<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `v`; `None` when `v` is not an object.
+    pub fn of(v: &'a Value) -> Option<Fields<'a>> {
+        v.as_object().map(|pairs| Fields {
+            pairs,
+            read: Vec::new(),
+        })
+    }
+
+    /// The field `key` under `rule`: absent is `Ok(None)`; present but
+    /// refused by the rule is an error naming `key` and `want`.
+    ///
+    /// # Errors
+    ///
+    /// `` bad `key` field (want …) `` when `rule` refuses the value.
+    pub fn opt<T>(
+        &mut self,
+        key: &'static str,
+        want: &str,
+        rule: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.read.push(key);
+        match self.pairs.iter().find(|(k, _)| k == key) {
+            None => Ok(None),
+            Some((_, v)) => rule(v)
+                .map(Some)
+                .ok_or_else(|| format!("bad `{key}` field (want {want})")),
+        }
+    }
+
+    /// Like [`Fields::opt`], for a field that must be present.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::opt`], and `` missing `key` field `` when absent.
+    pub fn req<T>(
+        &mut self,
+        key: &'static str,
+        want: &str,
+        rule: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.opt(key, want, rule)?
+            .ok_or_else(|| format!("missing `{key}` field"))
+    }
+
+    /// Refuses a field no rule read, or one given twice.
+    ///
+    /// # Errors
+    ///
+    /// `` unknown field `key` `` or `` repeated field `key` ``.
+    pub fn finish(self) -> Result<(), String> {
+        for (i, (key, _)) in self.pairs.iter().enumerate() {
+            if !self.read.contains(&key.as_str()) {
+                return Err(format!("unknown field `{key}`"));
+            }
+            if self.pairs[..i].iter().any(|(k, _)| k == key) {
+                return Err(format!("repeated field `{key}`"));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

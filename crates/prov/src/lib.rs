@@ -29,11 +29,15 @@
 //!
 //! # Report
 //!
-//! [`build_report`] turns a merged log into a versioned JSON document
-//! (via `isax-json`): per-candidate event streams grouped by fingerprint
-//! in first-appearance order, each with a computed terminal [`Fate`],
-//! plus an aggregate summary (counts per fate and per stage). The
-//! `isax explain` subcommand renders it for humans.
+//! The report format lives here and nowhere else. [`candidates`] groups
+//! a merged log by fingerprint in first-appearance order and folds each
+//! candidate's terminal [`Fate`] and aggregates; [`build_report`] turns
+//! that view into a versioned JSON document (via `isax-json`) with an
+//! aggregate summary (counts per fate and per stage); [`parse_report`]
+//! decodes a document back into its log by one typed rule per field, so
+//! `build_report` of the result rebuilds any report it wrote. The `isax
+//! explain` subcommand and the `IC07xx` checks in `isax-check` read
+//! reports through [`parse_report`] and [`candidates`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -131,6 +135,22 @@ impl ScoreBreakdown {
             ("total", self.total().into()),
         ])
     }
+
+    /// Decodes a score object; `total` must be a number and is rebuilt
+    /// from the axes.
+    fn from_json(v: &isax_json::Value) -> Result<ScoreBreakdown, String> {
+        let mut f = fields(v)?;
+        let mut axis = |key| f.req(key, NUMBER, isax_json::Value::as_f64);
+        let score = ScoreBreakdown {
+            criticality: axis("criticality")?,
+            latency: axis("latency")?,
+            area: axis("area")?,
+            io: axis("io")?,
+        };
+        f.req("total", NUMBER, isax_json::Value::as_f64)?;
+        f.finish()?;
+        Ok(score)
+    }
 }
 
 /// Why exploration dropped a grown subgraph.
@@ -154,6 +174,16 @@ impl PruneReason {
             PruneReason::BeamDropped => "beam_dropped",
         }
     }
+
+    fn parse(s: &str) -> Option<PruneReason> {
+        [
+            PruneReason::BelowThreshold,
+            PruneReason::FanoutCap,
+            PruneReason::BeamDropped,
+        ]
+        .into_iter()
+        .find(|r| r.as_str() == s)
+    }
 }
 
 /// One decision about one candidate, in pipeline order.
@@ -174,7 +204,8 @@ pub enum ProvEvent {
         /// Live-out count.
         outputs: usize,
         /// Guide score of the growth direction that produced it; `None`
-        /// for single-operation seeds, which are admitted unscored.
+        /// exactly for single-operation seeds, which are admitted
+        /// unscored.
         score: Option<ScoreBreakdown>,
     },
     /// Exploration scored this subgraph and dropped the direction.
@@ -233,107 +264,167 @@ pub enum ProvEvent {
     },
 }
 
-impl ProvEvent {
-    /// Pipeline stage that produced the event.
-    pub fn stage(&self) -> &'static str {
-        match self {
-            ProvEvent::Discovered { .. } | ProvEvent::Pruned { .. } => "explore",
-            ProvEvent::SubsumedBy { .. }
-            | ProvEvent::Wildcarded { .. }
-            | ProvEvent::SelectedAsCfu { .. } => "select",
-            ProvEvent::Matched { .. } | ProvEvent::Replaced { .. } => "compile",
-        }
-    }
+/// A typed event field as the report writes and reads it.
+trait Field: Sized {
+    /// The JSON value, or `None` to leave the field out.
+    fn write(&self) -> Option<isax_json::Value>;
+    /// The field `key` of `f`, by this type's rule.
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String>;
+}
 
-    /// Stable event-kind identifier used in the JSON report.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ProvEvent::Discovered { .. } => "discovered",
-            ProvEvent::Pruned { .. } => "pruned",
-            ProvEvent::SubsumedBy { .. } => "subsumed_by",
-            ProvEvent::Wildcarded { .. } => "wildcarded",
-            ProvEvent::SelectedAsCfu { .. } => "selected_as_cfu",
-            ProvEvent::Matched { .. } => "matched",
-            ProvEvent::Replaced { .. } => "replaced",
-        }
+impl Field for usize {
+    fn write(&self) -> Option<isax_json::Value> {
+        Some((*self).into())
     }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        f.req(key, INTEGER, |v| {
+            v.as_u64().and_then(|n| usize::try_from(n).ok())
+        })
+    }
+}
 
-    fn to_json(&self) -> isax_json::Value {
-        let mut fields: Vec<(String, isax_json::Value)> = vec![
-            ("event".into(), self.kind().into()),
-            ("stage".into(), self.stage().into()),
-        ];
-        match self {
-            ProvEvent::Discovered {
-                dfg,
-                size,
-                delay,
-                area,
-                inputs,
-                outputs,
-                score,
-            } => {
-                fields.push(("dfg".into(), (*dfg as u64).into()));
-                fields.push(("size".into(), (*size as u64).into()));
-                fields.push(("delay".into(), (*delay).into()));
-                fields.push(("area".into(), (*area).into()));
-                fields.push(("inputs".into(), (*inputs as u64).into()));
-                fields.push(("outputs".into(), (*outputs as u64).into()));
-                if let Some(s) = score {
-                    fields.push(("score".into(), s.to_json()));
+impl Field for u64 {
+    fn write(&self) -> Option<isax_json::Value> {
+        Some((*self).into())
+    }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        f.req(key, INTEGER, isax_json::Value::as_u64)
+    }
+}
+
+impl Field for u16 {
+    fn write(&self) -> Option<isax_json::Value> {
+        Some(u64::from(*self).into())
+    }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        f.req(key, CFU_ID, as_cfu)
+    }
+}
+
+impl Field for f64 {
+    fn write(&self) -> Option<isax_json::Value> {
+        Some((*self).into())
+    }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        f.req(key, "a number", isax_json::Value::as_f64)
+    }
+}
+
+impl Field for String {
+    fn write(&self) -> Option<isax_json::Value> {
+        Some(self.as_str().into())
+    }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        f.req(key, "a string", isax_json::Value::as_str)
+            .map(str::to_string)
+    }
+}
+
+impl Field for PruneReason {
+    fn write(&self) -> Option<isax_json::Value> {
+        Some(self.as_str().into())
+    }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        f.req(key, "below_threshold, fanout_cap or beam_dropped", |v| {
+            v.as_str().and_then(PruneReason::parse)
+        })
+    }
+}
+
+impl Field for ScoreBreakdown {
+    fn write(&self) -> Option<isax_json::Value> {
+        Some(self.to_json())
+    }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        ScoreBreakdown::from_json(f.req(key, "an object", Some)?).map_err(|e| format!("{key}: {e}"))
+    }
+}
+
+/// An absent score is a left-out field.
+impl Field for Option<ScoreBreakdown> {
+    fn write(&self) -> Option<isax_json::Value> {
+        self.as_ref().and_then(Field::write)
+    }
+    fn read(f: &mut isax_json::Fields<'_>, key: &'static str) -> Result<Self, String> {
+        f.opt(key, "an object", Some)?
+            .map(|v| ScoreBreakdown::from_json(v).map_err(|e| format!("{key}: {e}")))
+            .transpose()
+    }
+}
+
+/// Implements [`ProvEvent::kind`], [`ProvEvent::stage`] and the event
+/// codec from one table: each kind's variant, its `event` name, its
+/// stage and its fields in report order.
+macro_rules! event_kinds {
+    ($($variant:ident $kind:literal $stage:literal [$($field:ident),*],)*) => {
+        impl ProvEvent {
+            /// Pipeline stage that produced the event.
+            pub fn stage(&self) -> &'static str {
+                match self {
+                    $(ProvEvent::$variant { .. } => $stage,)*
                 }
             }
-            ProvEvent::Pruned {
-                dfg,
-                threshold,
-                score,
-                reason,
-            } => {
-                fields.push(("dfg".into(), (*dfg as u64).into()));
-                fields.push(("threshold".into(), (*threshold).into()));
-                fields.push(("score".into(), score.to_json()));
-                fields.push(("reason".into(), reason.as_str().into()));
+
+            /// Stable event-kind identifier used in the JSON report.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(ProvEvent::$variant { .. } => $kind,)*
+                }
             }
-            ProvEvent::SubsumedBy { cfu } => {
-                fields.push(("cfu".into(), (*cfu as u64).into()));
+
+            fn to_json(&self) -> isax_json::Value {
+                let mut fields = vec![("event", self.kind().into()), ("stage", self.stage().into())];
+                match self {
+                    $(ProvEvent::$variant { $($field),* } => {
+                        $(fields.extend(Field::write($field).map(|v| (stringify!($field), v)));)*
+                    })*
+                }
+                isax_json::object(fields)
             }
-            ProvEvent::Wildcarded { partner } => {
-                fields.push(("partner".into(), (*partner as u64).into()));
-            }
-            ProvEvent::SelectedAsCfu {
-                cfu,
-                area,
-                delay,
-                estimated_value,
-            } => {
-                fields.push(("cfu".into(), (*cfu as u64).into()));
-                fields.push(("area".into(), (*area).into()));
-                fields.push(("delay".into(), (*delay).into()));
-                fields.push(("estimated_value".into(), (*estimated_value).into()));
-            }
-            ProvEvent::Matched {
-                function,
-                block,
-                count,
-            } => {
-                fields.push(("function".into(), function.as_str().into()));
-                fields.push(("block".into(), (*block as u64).into()));
-                fields.push(("count".into(), (*count).into()));
-            }
-            ProvEvent::Replaced {
-                function,
-                block,
-                cycles_before,
-                cycles_after,
-            } => {
-                fields.push(("function".into(), function.as_str().into()));
-                fields.push(("block".into(), (*block as u64).into()));
-                fields.push(("cycles_before".into(), (*cycles_before).into()));
-                fields.push(("cycles_after".into(), (*cycles_after).into()));
+
+            /// Decodes one report event: its kind, a stage that matches
+            /// the kind, and exactly that kind's fields.
+            fn from_json(v: &isax_json::Value) -> Result<ProvEvent, String> {
+                let mut f = fields(v)?;
+                let kind = f.req("event", "an event kind", isax_json::Value::as_str)?;
+                let stage = f.req("stage", "a stage name", isax_json::Value::as_str)?;
+                let event = match kind {
+                    $($kind => ProvEvent::$variant {
+                        $($field: Field::read(&mut f, stringify!($field))?,)*
+                    },)*
+                    other => return Err(format!("bad `event` field (unknown event kind `{other}`)")),
+                };
+                if stage != event.stage() {
+                    return Err(format!(
+                        "bad `stage` field (want `{}` for a `{kind}` event)",
+                        event.stage()
+                    ));
+                }
+                // Only a single-operation seed is admitted unscored.
+                if let ProvEvent::Discovered { size, score, .. } = &event {
+                    if score.is_some() != (*size > 1) {
+                        return Err(if *size > 1 {
+                            "missing `score` field (a grown subgraph is scored)".to_string()
+                        } else {
+                            "bad `score` field (want none for a single-operation seed)".to_string()
+                        });
+                    }
+                }
+                f.finish()?;
+                Ok(event)
             }
         }
-        isax_json::Value::Object(fields)
-    }
+    };
+}
+
+event_kinds! {
+    Discovered "discovered" "explore" [dfg, size, delay, area, inputs, outputs, score],
+    Pruned "pruned" "explore" [dfg, threshold, score, reason],
+    SubsumedBy "subsumed_by" "select" [cfu],
+    Wildcarded "wildcarded" "select" [partner],
+    SelectedAsCfu "selected_as_cfu" "select" [cfu, area, delay, estimated_value],
+    Matched "matched" "compile" [function, block, count],
+    Replaced "replaced" "compile" [function, block, cycles_before, cycles_after],
 }
 
 /// An ordered stream of `(fingerprint, event)` pairs.
@@ -414,27 +505,28 @@ impl Fate {
         }
     }
 
-    /// Computes the fate from a candidate's events. Precedence: any
-    /// select/compile success event wins, then discovery, then pruning —
-    /// so every candidate has exactly one terminal fate.
-    pub fn of(events: &[&ProvEvent]) -> Fate {
-        if events.iter().any(|e| {
-            matches!(
-                e,
-                ProvEvent::SelectedAsCfu { .. }
-                    | ProvEvent::Matched { .. }
-                    | ProvEvent::Replaced { .. }
-            )
-        }) {
-            Fate::Selected
-        } else if events
-            .iter()
-            .any(|e| matches!(e, ProvEvent::Discovered { .. }))
-        {
-            Fate::NotSelected
-        } else {
-            Fate::Pruned
+    fn parse(s: &str) -> Option<Fate> {
+        [Fate::Selected, Fate::NotSelected, Fate::Pruned]
+            .into_iter()
+            .find(|f| f.as_str() == s)
+    }
+
+    /// The fate after one more event. Precedence: any select/compile
+    /// success event wins, then discovery, then pruning — so every
+    /// candidate has exactly one terminal fate.
+    fn then(self, event: &ProvEvent) -> Fate {
+        match event {
+            ProvEvent::SelectedAsCfu { .. }
+            | ProvEvent::Matched { .. }
+            | ProvEvent::Replaced { .. } => Fate::Selected,
+            ProvEvent::Discovered { .. } if self == Fate::Pruned => Fate::NotSelected,
+            _ => self,
         }
+    }
+
+    /// Computes the fate from a candidate's events.
+    pub fn of(events: &[&ProvEvent]) -> Fate {
+        events.iter().fold(Fate::Pruned, |f, e| f.then(e))
     }
 }
 
@@ -461,6 +553,28 @@ pub struct Summary {
 }
 
 impl Summary {
+    /// Counts over the candidates of one log.
+    fn of(candidates: &[Candidate<'_>]) -> Summary {
+        let mut s = Summary::default();
+        for c in candidates {
+            s.candidates += 1;
+            match c.fate {
+                Fate::Selected => s.selected += 1,
+                Fate::NotSelected => s.not_selected += 1,
+                Fate::Pruned => s.pruned += 1,
+            }
+            for e in &c.events {
+                s.events += 1;
+                match e.stage() {
+                    "explore" => s.explore_events += 1,
+                    "select" => s.select_events += 1,
+                    _ => s.compile_events += 1,
+                }
+            }
+        }
+        s
+    }
+
     /// One-line human rendering for stderr summaries.
     pub fn one_line(&self) -> String {
         format!(
@@ -500,6 +614,28 @@ impl Summary {
             ),
         ])
     }
+
+    /// Checks the types of a report's `summary` object; its counts are
+    /// derived data, rebuilt by [`build_report`].
+    fn check_json(v: &isax_json::Value) -> Result<(), String> {
+        let mut f = fields(v)?;
+        for key in ["candidates", "events"] {
+            f.req(key, INTEGER, isax_json::Value::as_u64)?;
+        }
+        for (group, keys) in [
+            ("fates", ["selected", "not_selected", "pruned"]),
+            ("stages", ["explore", "select", "compile"]),
+        ] {
+            let mut g =
+                fields(f.req(group, "an object", Some)?).map_err(|e| format!("{group}: {e}"))?;
+            for key in keys {
+                g.req(key, INTEGER, isax_json::Value::as_u64)
+                    .map_err(|e| format!("{group}: {e}"))?;
+            }
+            g.finish().map_err(|e| format!("{group}: {e}"))?;
+        }
+        f.finish()
+    }
 }
 
 /// Renders a fingerprint the way reports and `explain` queries spell it.
@@ -507,42 +643,127 @@ pub fn fingerprint_hex(fp: u64) -> String {
     format!("{fp:016x}")
 }
 
-/// Groups a merged log by fingerprint in first-appearance order.
-fn group(log: &ProvLog) -> Vec<(u64, Vec<&ProvEvent>)> {
-    let mut order: Vec<(u64, Vec<&ProvEvent>)> = Vec::new();
+/// Reads a fingerprint spelled by [`fingerprint_hex`]: exactly sixteen
+/// lowercase hex digits.
+fn parse_fingerprint(s: &str) -> Option<u64> {
+    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    canonical.then(|| u64::from_str_radix(s, 16).ok()).flatten()
+}
+
+/// One candidate of a merged log: its events in arrival order and what a
+/// report states about it. [`build_report`] serializes these, `isax
+/// explain` renders them and the IC07xx checks walk them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Candidate<'a> {
+    /// Canonical pattern fingerprint.
+    pub fingerprint: u64,
+    /// Terminal fate ([`Fate::of`] the events).
+    pub fate: Fate,
+    /// MDES id of its first `SelectedAsCfu` event.
+    pub cfu: Option<u16>,
+    /// Legal matches over its `Matched` events.
+    pub matches: u64,
+    /// Weighted cycles saved over its `Replaced` events.
+    pub cycles_saved: u64,
+    /// The events, in arrival order.
+    pub events: Vec<&'a ProvEvent>,
+}
+
+impl<'a> Candidate<'a> {
+    fn push(&mut self, event: &'a ProvEvent) {
+        self.fate = self.fate.then(event);
+        match event {
+            ProvEvent::SelectedAsCfu { cfu, .. } => {
+                self.cfu.get_or_insert(*cfu);
+            }
+            ProvEvent::Matched { count, .. } => self.matches = self.matches.saturating_add(*count),
+            ProvEvent::Replaced {
+                cycles_before,
+                cycles_after,
+                ..
+            } => {
+                self.cycles_saved = self
+                    .cycles_saved
+                    .saturating_add(cycles_before.saturating_sub(*cycles_after));
+            }
+            _ => {}
+        }
+        self.events.push(event);
+    }
+
+    fn to_json(&self) -> isax_json::Value {
+        let mut fields: Vec<(&str, isax_json::Value)> = vec![
+            ("fingerprint", fingerprint_hex(self.fingerprint).into()),
+            ("fate", self.fate.as_str().into()),
+        ];
+        if let Some(id) = self.cfu {
+            fields.push(("cfu", u64::from(id).into()));
+        }
+        if self.matches > 0 {
+            fields.push(("matches", self.matches.into()));
+        }
+        if self.cycles_saved > 0 {
+            fields.push(("cycles_saved", self.cycles_saved.into()));
+        }
+        fields.push((
+            "events",
+            isax_json::array(self.events.iter().map(|e| e.to_json())),
+        ));
+        isax_json::object(fields)
+    }
+
+    /// Decodes one report candidate into its fingerprint and events. The
+    /// stored fate and aggregates are type-checked only: they are derived
+    /// data, rebuilt by [`build_report`].
+    fn from_json(v: &isax_json::Value) -> Result<(u64, Vec<ProvEvent>), String> {
+        let mut f = fields(v)?;
+        let fingerprint = f.req("fingerprint", "16 lowercase hex digits", |v| {
+            v.as_str().and_then(parse_fingerprint)
+        })?;
+        f.req("fate", "selected, not_selected or pruned", |v| {
+            v.as_str().and_then(Fate::parse)
+        })?;
+        f.opt("cfu", CFU_ID, as_cfu)?;
+        f.opt("matches", INTEGER, isax_json::Value::as_u64)?;
+        f.opt("cycles_saved", INTEGER, isax_json::Value::as_u64)?;
+        let events = f.req("events", "a non-empty array", |v| {
+            v.as_array().filter(|a| !a.is_empty())
+        })?;
+        f.finish()?;
+        let events = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| ProvEvent::from_json(e).map_err(|e| format!("event {i}: {e}")))
+            .collect::<Result<_, _>>()?;
+        Ok((fingerprint, events))
+    }
+}
+
+/// Groups a merged log by fingerprint in first-appearance order, folding
+/// each candidate's fate and aggregates in the same single pass.
+pub fn candidates(log: &ProvLog) -> Vec<Candidate<'_>> {
+    let mut order: Vec<Candidate<'_>> = Vec::new();
     let mut index: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
     for (fp, ev) in log.events() {
-        match index.get(fp) {
-            Some(&i) => order[i].1.push(ev),
-            None => {
-                index.insert(*fp, order.len());
-                order.push((*fp, vec![ev]));
-            }
-        }
+        let i = *index.entry(*fp).or_insert_with(|| {
+            order.push(Candidate {
+                fingerprint: *fp,
+                fate: Fate::Pruned,
+                cfu: None,
+                matches: 0,
+                cycles_saved: 0,
+                events: Vec::new(),
+            });
+            order.len() - 1
+        });
+        order[i].push(ev);
     }
     order
 }
 
 /// Computes aggregate counts from a merged log.
 pub fn summarize(log: &ProvLog) -> Summary {
-    let mut s = Summary::default();
-    for (_, ev) in log.events() {
-        s.events += 1;
-        match ev.stage() {
-            "explore" => s.explore_events += 1,
-            "select" => s.select_events += 1,
-            _ => s.compile_events += 1,
-        }
-    }
-    for (_, events) in group(log) {
-        s.candidates += 1;
-        match Fate::of(&events) {
-            Fate::Selected => s.selected += 1,
-            Fate::NotSelected => s.not_selected += 1,
-            Fate::Pruned => s.pruned += 1,
-        }
-    }
-    s
+    Summary::of(&candidates(log))
 }
 
 /// Builds the versioned provenance report for one application run.
@@ -552,58 +773,74 @@ pub fn summarize(log: &ProvLog) -> Summary {
 /// fate, convenience aggregates (`cfu` id when selected, total matches,
 /// total cycles saved) and its full event stream.
 pub fn build_report(app: &str, log: &ProvLog) -> isax_json::Value {
-    let candidates: Vec<isax_json::Value> = group(log)
-        .into_iter()
-        .map(|(fp, events)| {
-            let fate = Fate::of(&events);
-            let mut fields: Vec<(String, isax_json::Value)> = vec![
-                ("fingerprint".into(), fingerprint_hex(fp).into()),
-                ("fate".into(), fate.as_str().into()),
-            ];
-            let cfu = events.iter().find_map(|e| match e {
-                ProvEvent::SelectedAsCfu { cfu, .. } => Some(*cfu),
-                _ => None,
-            });
-            if let Some(id) = cfu {
-                fields.push(("cfu".into(), (id as u64).into()));
-            }
-            let matches: u64 = events
-                .iter()
-                .filter_map(|e| match e {
-                    ProvEvent::Matched { count, .. } => Some(*count),
-                    _ => None,
-                })
-                .sum();
-            let cycles_saved: u64 = events
-                .iter()
-                .filter_map(|e| match e {
-                    ProvEvent::Replaced {
-                        cycles_before,
-                        cycles_after,
-                        ..
-                    } => Some(cycles_before.saturating_sub(*cycles_after)),
-                    _ => None,
-                })
-                .sum();
-            if matches > 0 {
-                fields.push(("matches".into(), matches.into()));
-            }
-            if cycles_saved > 0 {
-                fields.push(("cycles_saved".into(), cycles_saved.into()));
-            }
-            fields.push((
-                "events".into(),
-                isax_json::array(events.iter().map(|e| e.to_json())),
-            ));
-            isax_json::Value::Object(fields)
-        })
-        .collect();
+    let candidates = candidates(log);
     isax_json::object([
         ("version", isax_json::Value::from(REPORT_VERSION)),
         ("app", app.into()),
-        ("summary", summarize(log).to_json()),
-        ("candidates", isax_json::array(candidates)),
+        ("summary", Summary::of(&candidates).to_json()),
+        (
+            "candidates",
+            isax_json::array(candidates.iter().map(Candidate::to_json)),
+        ),
     ])
+}
+
+/// Decodes a report back into the application name and log it was
+/// built from: the inverse of [`build_report`].
+///
+/// Every field is read by one typed rule: the version, 16-digit
+/// lowercase-hex fingerprints, each event's kind, its stage and that
+/// kind's fields. Events come back grouped by candidate, in report
+/// order, so `build_report(app, &log)` rebuilds any report
+/// `build_report` wrote. The stored fates, aggregates and summary are
+/// type-checked but not compared with the events; rebuild the report
+/// and compare to check them.
+///
+/// # Errors
+///
+/// A missing, mistyped, unknown or repeated field, named with the index
+/// of its candidate and event; a fingerprint given to two candidates;
+/// a version other than [`REPORT_VERSION`].
+pub fn parse_report(doc: &isax_json::Value) -> Result<(String, ProvLog), String> {
+    let mut f = fields(doc)?;
+    let version = f.req("version", INTEGER, isax_json::Value::as_u64)?;
+    if version != REPORT_VERSION {
+        return Err(format!(
+            "provenance report version {version}, this isax understands {REPORT_VERSION}"
+        ));
+    }
+    let app = f.req("app", "a string", isax_json::Value::as_str)?;
+    Summary::check_json(f.req("summary", "an object", Some)?)
+        .map_err(|e| format!("summary: {e}"))?;
+    let candidates = f.req("candidates", "an array", isax_json::Value::as_array)?;
+    f.finish()?;
+    let mut log = ProvLog::default();
+    let mut seen = std::collections::HashSet::new();
+    for (i, c) in candidates.iter().enumerate() {
+        let (fp, events) = Candidate::from_json(c).map_err(|e| format!("candidate {i}: {e}"))?;
+        if !seen.insert(fp) {
+            return Err(format!(
+                "candidate {i}: fingerprint {} repeats an earlier candidate's",
+                fingerprint_hex(fp)
+            ));
+        }
+        for event in events {
+            log.record(fp, event);
+        }
+    }
+    Ok((app.to_string(), log))
+}
+
+const INTEGER: &str = "a non-negative integer";
+const NUMBER: &str = "a number";
+const CFU_ID: &str = "a CFU id, 0 to 65535";
+
+fn fields(v: &isax_json::Value) -> Result<isax_json::Fields<'_>, String> {
+    isax_json::Fields::of(v).ok_or_else(|| "not a JSON object".to_string())
+}
+
+fn as_cfu(v: &isax_json::Value) -> Option<u16> {
+    v.as_u64().and_then(|n| u16::try_from(n).ok())
 }
 
 #[cfg(test)]

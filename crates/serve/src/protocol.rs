@@ -274,36 +274,25 @@ fn bad_request(message: String) -> WireError {
     WireError::new(ErrorCode::BadRequest, message)
 }
 
-/// A request object's fields, read one typed rule at a time. Every key
-/// a rule asks for is remembered, so [`Fields::finish`] can refuse the
-/// fields no rule read.
-struct Fields<'a> {
-    pairs: &'a [(String, Value)],
-    read: Vec<&'static str>,
-}
+/// A request object's fields under [`isax_json::Fields`], each refusal
+/// a `BadRequest` naming the field.
+struct Fields<'a>(isax_json::Fields<'a>);
 
 impl<'a> Fields<'a> {
-    /// The field `key` under `rule`: absent is `Ok(None)`; present but
-    /// refused by the rule is a `BadRequest` naming `key` and `want`.
     fn opt<T>(
         &mut self,
         key: &'static str,
         want: &str,
         rule: impl FnOnce(&'a Value) -> Option<T>,
     ) -> Result<Option<T>, WireError> {
-        self.read.push(key);
-        match self.pairs.iter().find(|(k, _)| k == key) {
-            None => Ok(None),
-            Some((_, v)) => rule(v)
-                .map(Some)
-                .ok_or_else(|| bad_request(format!("bad `{key}` field (want {want})"))),
-        }
+        self.0.opt(key, want, rule).map_err(bad_request)
     }
 
     fn string(&mut self, key: &'static str) -> Result<String, WireError> {
-        self.opt(key, "a string", Value::as_str)?
+        self.0
+            .req(key, "a string", Value::as_str)
             .map(str::to_string)
-            .ok_or_else(|| bad_request(format!("missing `{key}` field")))
+            .map_err(bad_request)
     }
 
     fn flag(&mut self, key: &'static str) -> Result<bool, WireError> {
@@ -316,17 +305,8 @@ impl<'a> Fields<'a> {
         self.opt(key, "a non-negative integer", Value::as_u64)
     }
 
-    /// Refuses a field no rule read, or one given twice.
     fn finish(self) -> Result<(), WireError> {
-        for (i, (key, _)) in self.pairs.iter().enumerate() {
-            if !self.read.contains(&key.as_str()) {
-                return Err(bad_request(format!("unknown field `{key}`")));
-            }
-            if self.pairs[..i].iter().any(|(k, _)| k == key) {
-                return Err(bad_request(format!("repeated field `{key}`")));
-            }
-        }
-        Ok(())
+        self.0.finish().map_err(bad_request)
     }
 }
 
@@ -393,13 +373,9 @@ pub fn frame_id(line: &str) -> u64 {
 pub fn decode_request(line: &str) -> Result<Frame, WireError> {
     let v = isax_json::parse(line)
         .map_err(|e| WireError::new(ErrorCode::MalformedFrame, e.to_string()))?;
-    let pairs = v
-        .as_object()
+    let mut f = isax_json::Fields::of(&v)
+        .map(Fields)
         .ok_or_else(|| bad_request("frame is not a JSON object".into()))?;
-    let mut f = Fields {
-        pairs,
-        read: Vec::new(),
-    };
     let req = f.string("req")?;
     let id = f.units("id")?.unwrap_or(0);
     let request = match req.as_str() {

@@ -14,12 +14,19 @@
 //!    values with the same three-way table (`isax-trace` is
 //!    dependency-free, so the table is duplicated; this test is what
 //!    keeps the copies honest).
+//! 5. **One codec** — `isax_prov::parse_report` inverts `build_report`
+//!    on reports from real runs, from generated event streams and from
+//!    the release CLI (`ISAX_PROV_REPORT_DIR`), and every field of a
+//!    real report is checked: deleting or retyping any one of them is
+//!    refused with a message that names it.
 //!
 //! The recording flag is process-global, so every test here serializes
 //! on one lock (the same discipline as `tests/trace.rs`).
 
 use isax::{Customizer, MatchOptions, ProvEvent, ProvLog};
 use isax_graph::par::set_thread_override;
+use isax_json::Value;
+use isax_prov::{build_report, parse_report, PruneReason, ScoreBreakdown};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
@@ -190,6 +197,216 @@ proptest! {
         let _on = isax_prov::enable();
         let run = run_pipeline(KERNELS[kernel], budget);
         check_lifecycle_invariants(&run)?;
+        check_round_trip(&build_report(KERNELS[kernel], &run.log))?;
+    }
+
+    #[test]
+    fn generated_logs_round_trip_through_the_report(
+        seed in any::<u64>(),
+        events in proptest::collection::vec(
+            (
+                0usize..7,
+                0u64..6,
+                any::<u64>(),
+                any::<u64>(),
+                [-1e6f64..1e6, -1e6f64..1e6, -1e6f64..1e6, -1e6f64..1e6],
+            ),
+            1..40,
+        ),
+    ) {
+        let mut log = ProvLog::default();
+        for &(kind, who, a, b, x) in &events {
+            log.record(who.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed, event(kind, a, b, x));
+        }
+        check_round_trip(&build_report("gen", &log))?;
+    }
+}
+
+/// One event of kind `kind` (0..7, pipeline order) from raw draws.
+fn event(kind: usize, a: u64, b: u64, x: [f64; 4]) -> ProvEvent {
+    let score = ScoreBreakdown {
+        criticality: x[0],
+        latency: x[1],
+        area: x[2],
+        io: x[3],
+    };
+    let function = format!("f{}", a % 3);
+    match kind {
+        0 => ProvEvent::Discovered {
+            dfg: (a % 64) as usize,
+            size: (b % 5) as usize,
+            delay: x[0],
+            area: x[1],
+            inputs: (a >> 8) as usize % 5,
+            outputs: (b >> 8) as usize % 3,
+            // Only single-operation seeds are unscored.
+            score: (b % 5 > 1).then_some(score),
+        },
+        1 => ProvEvent::Pruned {
+            dfg: (b % 64) as usize,
+            threshold: x[3],
+            score,
+            reason: [
+                PruneReason::BelowThreshold,
+                PruneReason::FanoutCap,
+                PruneReason::BeamDropped,
+            ][(a % 3) as usize],
+        },
+        2 => ProvEvent::SubsumedBy { cfu: a as u16 },
+        3 => ProvEvent::Wildcarded { partner: b as u16 },
+        4 => ProvEvent::SelectedAsCfu {
+            cfu: a as u16,
+            area: x[1],
+            delay: x[2],
+            estimated_value: b,
+        },
+        5 => ProvEvent::Matched {
+            function,
+            block: (b % 9) as usize,
+            count: a >> 32,
+        },
+        _ => ProvEvent::Replaced {
+            function,
+            block: (b % 9) as usize,
+            cycles_before: a,
+            cycles_after: b,
+        },
+    }
+}
+
+/// `parse_report` then `build_report` gives back `doc`, as a value and
+/// as pretty-printed text.
+fn check_round_trip(doc: &Value) -> Result<(), proptest::test_runner::TestCaseError> {
+    let (app, log) = parse_report(doc).map_err(proptest::test_runner::TestCaseError::fail)?;
+    prop_assert_eq!(&build_report(&app, &log), doc);
+    let text = doc.to_string_pretty();
+    let reparsed = isax_json::parse(&text).expect("a report parses");
+    let (app, log) = parse_report(&reparsed).map_err(proptest::test_runner::TestCaseError::fail)?;
+    prop_assert_eq!(build_report(&app, &log).to_string_pretty(), text);
+    Ok(())
+}
+
+/// Every report under `ISAX_PROV_REPORT_DIR` (the CI `prov` job points
+/// it at what the release CLI wrote) decodes, and rebuilding it
+/// reproduces the file byte for byte. Skipped when the variable is unset.
+#[test]
+fn reports_on_disk_rebuild_byte_for_byte() {
+    let Ok(dir) = std::env::var("ISAX_PROV_REPORT_DIR") else {
+        return;
+    };
+    let mut n = 0;
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|x| x != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = isax_json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let (app, log) = parse_report(&doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let rebuilt = build_report(&app, &log).to_string_pretty() + "\n";
+        assert!(
+            rebuilt == text,
+            "{}: rebuilt report differs",
+            path.display()
+        );
+        n += 1;
+    }
+    assert!(n > 0, "{dir}: no reports");
+}
+
+/// Every object field of `v`: the index path to its parent object, its
+/// position there, and its dotted path (`candidates[3].events[0].dfg`).
+fn object_fields(
+    v: &Value,
+    at: &mut Vec<usize>,
+    name: &str,
+    out: &mut Vec<(Vec<usize>, usize, String)>,
+) {
+    match v {
+        Value::Object(fields) => {
+            for (i, (key, child)) in fields.iter().enumerate() {
+                let name = if name.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{name}.{key}")
+                };
+                out.push((at.clone(), i, name.clone()));
+                at.push(i);
+                object_fields(child, at, &name, out);
+                at.pop();
+            }
+        }
+        Value::Array(items) => {
+            for (i, child) in items.iter().enumerate() {
+                at.push(i);
+                object_fields(child, at, &format!("{name}[{i}]"), out);
+                at.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+fn fields_at<'a>(v: &'a mut Value, at: &[usize]) -> &'a mut Vec<(String, Value)> {
+    let mut v = v;
+    for &i in at {
+        v = match v {
+            Value::Object(fields) => &mut fields[i].1,
+            Value::Array(items) => &mut items[i],
+            _ => unreachable!("paths only pass through objects and arrays"),
+        };
+    }
+    match v {
+        Value::Object(fields) => fields,
+        _ => unreachable!("a field's parent is an object"),
+    }
+}
+
+/// Deleting or retyping any field of a real report is refused, by the
+/// decoder or (for the derived fields a report may omit) by the IC0700
+/// re-encode check, with a message naming the field and where it sits.
+#[test]
+fn every_field_of_a_real_report_is_checked() {
+    let golden =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/prov_crc.json");
+    let doc = isax_json::parse(&std::fs::read_to_string(golden).unwrap()).unwrap();
+    check_round_trip(&doc).unwrap();
+    let mut fields = Vec::new();
+    object_fields(&doc, &mut Vec::new(), "", &mut fields);
+    assert!(fields.len() > 500, "{} fields", fields.len());
+    for (at, i, name) in &fields {
+        for delete in [true, false] {
+            let mut bad = doc.clone();
+            let parent = fields_at(&mut bad, at);
+            if delete {
+                parent.remove(*i);
+            } else {
+                let wrong = match parent[*i].1 {
+                    Value::Str(_) => Value::Int(7),
+                    _ => Value::Str("7".into()),
+                };
+                parent[*i].1 = wrong;
+            }
+            let msg = match parse_report(&bad) {
+                Err(e) => e,
+                Ok(_) => isax::check_provenance(&bad, None, None).to_string(),
+            };
+            let what = if delete { "deleting" } else { "retyping" };
+            let key = name.rsplit('.').next().unwrap();
+            assert!(msg.contains(key), "{what} {name}: {msg:?}");
+            // `candidates[3].events[0]` is named `candidate 3` / `event 0`
+            // by the decoder and by its path in the re-encode check.
+            for (list, one) in [("candidates[", "candidate "), ("events[", "event ")] {
+                if let Some(rest) = name.split(list).nth(1) {
+                    let index = &rest[..rest.find(']').unwrap()];
+                    assert!(
+                        msg.contains(&format!("{one}{index}"))
+                            || msg.contains(&format!("{list}{index}]")),
+                        "{what} {name}: {msg:?}"
+                    );
+                }
+            }
+        }
     }
 }
 
