@@ -241,11 +241,6 @@ pub fn limit(cz: &Customizer, app_name: &str, program: &isax_ir::Program) -> f64
     cz.evaluate(program, &mdes, MatchOptions::exact()).speedup
 }
 
-/// Prints a speedup table: one row per series, one column per budget.
-pub fn print_series(title: &str, rows: &[(String, Vec<f64>)]) {
-    print!("{}", figures::render_series(title, &BUDGETS, rows));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

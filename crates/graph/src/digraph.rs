@@ -151,11 +151,6 @@ impl<N> DiGraph<N> {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Returns the weight of `n`, if `n` is in range.
-    pub fn node_weight(&self, n: NodeId) -> Option<&N> {
-        self.nodes.get(n.index())
-    }
-
     /// Iterates over all edges in insertion order.
     pub fn edges(&self) -> impl ExactSizeIterator<Item = EdgeRef> + '_ {
         self.edges.iter().copied()

@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 
 use isax_graph::DiGraph;
-use isax_ir::{DfgLabel, Inst, OpClass, Opcode};
+use isax_ir::{DfgLabel, Inst, Opcode};
 /// Hardware cost of one primitive operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCost {
@@ -227,11 +227,6 @@ impl HwLibrary {
         self.cost(inst.opcode, &imms)
     }
 
-    /// Cost of a DFG node label.
-    pub fn cost_of_label(&self, label: &DfgLabel) -> Option<OpCost> {
-        self.cost(label.opcode, &label.imms)
-    }
-
     /// True if the operation may be included in a custom function unit.
     pub fn cfu_eligible(&self, op: Opcode) -> bool {
         self.cost(op, &[(1, 0)]).is_some() || self.cost(op, &[]).is_some()
@@ -338,13 +333,6 @@ impl HwLibrary {
 pub fn round_up_half_adder(area: f64) -> f64 {
     let steps = (area / 0.5).ceil();
     (steps * 0.5).max(0.5)
-}
-
-/// Returns the wildcard class label hash contribution for an opcode — all
-/// members of a class share it. Used when fingerprinting patterns in
-/// wildcard (opcode-class) mode.
-pub fn class_key(class: OpClass) -> u64 {
-    class as u64
 }
 
 #[cfg(test)]

@@ -111,11 +111,6 @@ impl FunctionBuilder {
         self.current = b;
     }
 
-    /// The block currently being filled.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Appends a raw instruction at the insertion point.
     pub fn push(&mut self, inst: Inst) {
         self.blocks[self.current.index()].insts.push(inst);

@@ -52,20 +52,6 @@ impl DfgLabel {
         h.finish()
     }
 
-    /// Hash of the label generalized to its wildcard opcode class:
-    /// operations in the same class (and with immediates on the same
-    /// ports, values free) collide, which is what multifunction-CFU
-    /// matching needs.
-    pub fn class_key(&self) -> u64 {
-        use std::fmt::Write as _;
-        let mut h = isax_graph::canon::StrHasher::new();
-        let _ = write!(h, "class{}", self.opcode.class() as u32);
-        for (p, _) in &self.imms {
-            let _ = write!(h, "#{p}");
-        }
-        h.finish()
-    }
-
     /// Exact compatibility: same opcode and same hardwired immediates.
     pub fn matches_exact(&self, other: &DfgLabel) -> bool {
         self == other

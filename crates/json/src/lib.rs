@@ -14,7 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed JSON document.
@@ -544,14 +543,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Sorted string-keyed map view used by report emitters that want
-/// stable field order independent of insertion order.
-pub fn sorted_object(map: BTreeMap<String, Value>) -> Value {
-    Value::Object(map.into_iter().collect())
-}
-
 /// An object's fields, read one typed rule at a time: the strict decoder
-/// behind the serve protocol and the provenance report. Every key a rule
+/// behind the serve protocol, the MDES and the provenance report. Every key a rule
 /// asks for is remembered, so [`Fields::finish`] can refuse the fields no
 /// rule read. Errors are short messages naming the field, for the caller
 /// to wrap with where the object sits.
@@ -568,12 +561,18 @@ pub struct Fields<'a> {
 }
 
 impl<'a> Fields<'a> {
-    /// The fields of `v`; `None` when `v` is not an object.
-    pub fn of(v: &'a Value) -> Option<Fields<'a>> {
-        v.as_object().map(|pairs| Fields {
-            pairs,
-            read: Vec::new(),
-        })
+    /// The fields of `v`.
+    ///
+    /// # Errors
+    ///
+    /// `not a JSON object` when `v` is not an object.
+    pub fn of(v: &'a Value) -> Result<Fields<'a>, String> {
+        v.as_object()
+            .map(|pairs| Fields {
+                pairs,
+                read: Vec::new(),
+            })
+            .ok_or_else(|| "not a JSON object".to_string())
     }
 
     /// The field `key` under `rule`: absent is `Ok(None)`; present but

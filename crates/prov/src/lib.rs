@@ -139,7 +139,7 @@ impl ScoreBreakdown {
     /// Decodes a score object; `total` must be a number and is rebuilt
     /// from the axes.
     fn from_json(v: &isax_json::Value) -> Result<ScoreBreakdown, String> {
-        let mut f = fields(v)?;
+        let mut f = isax_json::Fields::of(v)?;
         let mut axis = |key| f.req(key, NUMBER, isax_json::Value::as_f64);
         let score = ScoreBreakdown {
             criticality: axis("criticality")?,
@@ -385,7 +385,7 @@ macro_rules! event_kinds {
             /// Decodes one report event: its kind, a stage that matches
             /// the kind, and exactly that kind's fields.
             fn from_json(v: &isax_json::Value) -> Result<ProvEvent, String> {
-                let mut f = fields(v)?;
+                let mut f = isax_json::Fields::of(v)?;
                 let kind = f.req("event", "an event kind", isax_json::Value::as_str)?;
                 let stage = f.req("stage", "a stage name", isax_json::Value::as_str)?;
                 let event = match kind {
@@ -618,7 +618,7 @@ impl Summary {
     /// Checks the types of a report's `summary` object; its counts are
     /// derived data, rebuilt by [`build_report`].
     fn check_json(v: &isax_json::Value) -> Result<(), String> {
-        let mut f = fields(v)?;
+        let mut f = isax_json::Fields::of(v)?;
         for key in ["candidates", "events"] {
             f.req(key, INTEGER, isax_json::Value::as_u64)?;
         }
@@ -626,8 +626,8 @@ impl Summary {
             ("fates", ["selected", "not_selected", "pruned"]),
             ("stages", ["explore", "select", "compile"]),
         ] {
-            let mut g =
-                fields(f.req(group, "an object", Some)?).map_err(|e| format!("{group}: {e}"))?;
+            let mut g = isax_json::Fields::of(f.req(group, "an object", Some)?)
+                .map_err(|e| format!("{group}: {e}"))?;
             for key in keys {
                 g.req(key, INTEGER, isax_json::Value::as_u64)
                     .map_err(|e| format!("{group}: {e}"))?;
@@ -716,7 +716,7 @@ impl<'a> Candidate<'a> {
     /// stored fate and aggregates are type-checked only: they are derived
     /// data, rebuilt by [`build_report`].
     fn from_json(v: &isax_json::Value) -> Result<(u64, Vec<ProvEvent>), String> {
-        let mut f = fields(v)?;
+        let mut f = isax_json::Fields::of(v)?;
         let fingerprint = f.req("fingerprint", "16 lowercase hex digits", |v| {
             v.as_str().and_then(parse_fingerprint)
         })?;
@@ -802,7 +802,7 @@ pub fn build_report(app: &str, log: &ProvLog) -> isax_json::Value {
 /// of its candidate and event; a fingerprint given to two candidates;
 /// a version other than [`REPORT_VERSION`].
 pub fn parse_report(doc: &isax_json::Value) -> Result<(String, ProvLog), String> {
-    let mut f = fields(doc)?;
+    let mut f = isax_json::Fields::of(doc)?;
     let version = f.req("version", INTEGER, isax_json::Value::as_u64)?;
     if version != REPORT_VERSION {
         return Err(format!(
@@ -834,10 +834,6 @@ pub fn parse_report(doc: &isax_json::Value) -> Result<(String, ProvLog), String>
 const INTEGER: &str = "a non-negative integer";
 const NUMBER: &str = "a number";
 const CFU_ID: &str = "a CFU id, 0 to 65535";
-
-fn fields(v: &isax_json::Value) -> Result<isax_json::Fields<'_>, String> {
-    isax_json::Fields::of(v).ok_or_else(|| "not a JSON object".to_string())
-}
 
 fn as_cfu(v: &isax_json::Value) -> Option<u16> {
     v.as_u64().and_then(|n| u16::try_from(n).ok())

@@ -64,53 +64,6 @@ fn bypass_source(pattern: &DiGraph<DfgLabel>, v: NodeId) -> Option<Option<(NodeI
     None
 }
 
-/// Performs one contraction: removes `v` and rewires its consumers to the
-/// pass-through source (or makes them external inputs). Returns `None`
-/// when `v` is not bypassable or the result would be empty/disconnected.
-pub fn contract_once(pattern: &DiGraph<DfgLabel>, v: NodeId) -> Option<DiGraph<DfgLabel>> {
-    if pattern.node_count() <= 1 {
-        return None;
-    }
-    let pass = bypass_source(pattern, v)?;
-    // Build the graph without v.
-    let mut g = DiGraph::with_capacity(pattern.node_count() - 1);
-    let mut remap = vec![None; pattern.node_count()];
-    for n in pattern.node_ids() {
-        if n != v {
-            remap[n.index()] = Some(g.add_node(pattern[n].clone()));
-        }
-    }
-    for e in pattern.edges() {
-        if e.src == v || e.dst == v {
-            continue;
-        }
-        g.add_edge(
-            remap[e.src.index()].unwrap(),
-            remap[e.dst.index()].unwrap(),
-            e.port,
-        );
-    }
-    if let Some((u, _)) = pass {
-        // The pass-through producer now feeds v's consumers directly.
-        for e in pattern.succs(v) {
-            if e.dst == v {
-                continue; // self-loop cannot occur in a DFG, but stay safe
-            }
-            g.add_edge(
-                remap[u.index()].unwrap(),
-                remap[e.dst.index()].unwrap(),
-                e.port,
-            );
-        }
-    }
-    // Pass source external: v's consumers simply read an external input,
-    // i.e. the edges disappear.
-    if !g.is_weakly_connected() {
-        return None;
-    }
-    Some(g)
-}
-
 /// Computes the contraction closure of a pattern: every distinct smaller
 /// pattern obtainable by repeatedly bypassing identity nodes, capped at
 /// `cap` members. The original pattern is **not** included.
@@ -164,9 +117,9 @@ struct Member {
 /// structural key, computed once per member while the closure is built.
 ///
 /// Label keys are hashed once at the root and *remapped* through each
-/// contraction ([`contract_once`] preserves relative node order, so a
-/// contraction's key vector is the parent's with the bypassed entry
-/// removed) — the closure walk does no label-string hashing and no WL
+/// contraction (a contraction keeps the surviving nodes in their
+/// relative order, so its key vector is the parent's with the bypassed
+/// entry removed) — the closure walk does no label-string hashing and no WL
 /// refinement at all. Every member is strictly smaller than the root (a
 /// contraction removes a node), so no root-equality check is needed.
 ///
@@ -271,10 +224,9 @@ fn closure_keyed(pattern: &DiGraph<DfgLabel>, cap: usize) -> Vec<(DiGraph<DfgLab
             }
             // New shape (or a same-key cousin needing a VF2 verdict):
             // build it straight from the surviving labels and the scratch
-            // edge triples — the same graph `contract_once` would produce,
-            // without re-deriving the bypass or remapping twice. A
-            // contraction that disconnects the pattern is discarded, as in
-            // `contract_once`.
+            // edge triples, without re-deriving the bypass or remapping
+            // twice. A contraction that disconnects the pattern is
+            // discarded.
             let mut c = DiGraph::with_capacity(nodes - 1);
             for p in 0..nodes - 1 {
                 c.add_node(g[NodeId(orig(p) as u32)].clone());

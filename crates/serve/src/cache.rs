@@ -1,14 +1,18 @@
 //! The content-addressed artifact cache.
 //!
-//! Artifacts are keyed by **canonical kernel fingerprint** plus
-//! **config hash**. The kernel fingerprint hashes the *parsed-then-
-//! re-printed* IR text, not the request bytes, so two requests that
-//! differ only in whitespace or comments address the same entry. The
-//! config hash folds in every request knob that can change the output
-//! bytes (request kind, app name, area budget, matching flags, the MDES
-//! text for compiles, and the run's effective guard: work units after
-//! admission and environment, deadline and fault plan). The server's
-//! shared context is fixed for its lifetime, so it needs no key bits.
+//! An artifact is keyed by [`request_key`]: FNV-1a over the wire
+//! encoding ([`encode_request`]) of its **canonical request**, the
+//! decoded request with id 0, the kernel replaced by its parsed-then-
+//! re-printed text, and the work budget replaced by the units the run's
+//! guard actually allows (after admission, else the context's). The
+//! encoding states every request field once and is injective (strings
+//! are escaped, floats print shortest-round-trip), so every field that
+//! can change the output bytes is in the key without a second list of
+//! them, while whitespace and comments in the kernel and a work budget
+//! admitted to the same units address the same entry. The rest of the
+//! server's shared context (deadline, fault plan, beam width, library)
+//! is fixed for its lifetime and each server owns its cache, so it
+//! needs no key bits.
 //!
 //! Insertion is **first-insert-wins**: when two requests race to fill
 //! the same key, the first `insert` published is the entry everyone —
@@ -17,8 +21,7 @@
 //! makes the linearization obvious and testable (the proptests race
 //! deliberately-different payloads and assert one canonical winner).
 
-use crate::protocol::Artifacts;
-use isax::Guard;
+use crate::protocol::{encode_request, Artifacts, Frame, Request};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,81 +38,32 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A cache key: (canonical kernel fingerprint, config hash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Fingerprint of the canonicalized kernel text.
-    pub kernel: u64,
-    /// Hash of every output-affecting request knob.
-    pub config: u64,
-}
-
-/// Fingerprints a parsed program by its canonical printed form
-/// ([`isax_ir::Program::functions_text`], the same text the assembly
-/// emitter writes), so lexical noise in the request never splits cache
-/// entries.
-pub fn kernel_fingerprint(program: &isax_ir::Program) -> u64 {
-    fnv64(program.functions_text().as_bytes())
-}
-
-/// Incrementally hashes the config half of a [`CacheKey`].
-#[derive(Debug, Clone)]
-pub struct ConfigHasher(u64);
-
-impl ConfigHasher {
-    /// Starts a hash with a request-kind discriminator.
-    pub fn new(kind: &str) -> ConfigHasher {
-        ConfigHasher(fnv64(kind.as_bytes()))
+/// The cache key of `frame`, whose kernel parsed to `program` and which
+/// runs under `units` work units: the hash of its canonical request (see
+/// the module doc).
+pub fn request_key(frame: &Frame, program: &isax_ir::Program, units: Option<u64>) -> u64 {
+    let mut request = frame.request.clone();
+    if let Request::Customize {
+        kernel,
+        work_budget,
+        ..
     }
-
-    /// Folds in a labeled byte string.
-    pub fn field(mut self, label: &str, bytes: &[u8]) -> ConfigHasher {
-        // Labels and lengths are folded in so field boundaries cannot
-        // alias ("ab"+"c" vs "a"+"bc").
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3) ^ fnv64(label.as_bytes());
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3) ^ (bytes.len() as u64);
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3) ^ fnv64(bytes);
-        self
+    | Request::Compile {
+        kernel,
+        work_budget,
+        ..
+    } = &mut request
+    {
+        *kernel = program.functions_text();
+        *work_budget = units;
     }
-
-    /// Folds in a `u64`.
-    pub fn u64(self, label: &str, v: u64) -> ConfigHasher {
-        self.field(label, &v.to_le_bytes())
-    }
-
-    /// Folds in an `f64` by its bit pattern (so `-0.0` and `0.0` are
-    /// distinct keys, matching the pipeline's bit-exact determinism).
-    pub fn f64(self, label: &str, v: f64) -> ConfigHasher {
-        self.u64(label, v.to_bits())
-    }
-
-    /// Folds in a bool.
-    pub fn bool(self, label: &str, v: bool) -> ConfigHasher {
-        self.u64(label, u64::from(v))
-    }
-
-    /// Folds in everything of a [`Guard`] that can change a run's
-    /// bytes: the work-unit limit, the deadline and the fault plan.
-    pub fn guard(self, guard: &Guard) -> ConfigHasher {
-        let budget = guard.budget();
-        self.u64("work_units", budget.units.unwrap_or(u64::MAX))
-            .u64(
-                "deadline_ns",
-                budget.deadline.map_or(u64::MAX, |d| d.as_nanos() as u64),
-            )
-            .field("fault", format!("{:?}", guard.fault()).as_bytes())
-    }
-
-    /// The finished hash.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
+    fnv64(encode_request(&Frame { id: 0, request }).as_bytes())
 }
 
 /// A concurrent, first-insert-wins artifact cache.
 #[derive(Debug, Default)]
 pub struct ArtifactCache {
-    map: Mutex<HashMap<CacheKey, Arc<Artifacts>>>,
+    map: Mutex<HashMap<u64, Arc<Artifacts>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -121,7 +75,7 @@ impl ArtifactCache {
     }
 
     /// Looks up `key`, counting a hit or a miss.
-    pub fn lookup(&self, key: CacheKey) -> Option<Arc<Artifacts>> {
+    pub fn lookup(&self, key: u64) -> Option<Arc<Artifacts>> {
         let found = self.map.lock().expect("cache lock").get(&key).cloned();
         match found {
             Some(a) => {
@@ -137,7 +91,7 @@ impl ArtifactCache {
 
     /// Publishes `artifacts` under `key` unless an entry already exists,
     /// and returns the canonical entry either way (first insert wins).
-    pub fn insert(&self, key: CacheKey, artifacts: Artifacts) -> Arc<Artifacts> {
+    pub fn insert(&self, key: u64, artifacts: Artifacts) -> Arc<Artifacts> {
         self.map
             .lock()
             .expect("cache lock")
@@ -175,5 +129,75 @@ impl ArtifactCache {
         } else {
             h / (h + m)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    const KERNEL: &str = "func f(v0)\nb0:  ; weight 10\n    add v1, v0, #1\n    ret v1\n";
+
+    fn cz(name: &str, budget: f64, multifunction: bool, work: Option<u64>) -> Request {
+        Request::Customize {
+            kernel: KERNEL.into(),
+            name: name.into(),
+            budget,
+            multifunction,
+            work_budget: work,
+        }
+    }
+
+    fn cp(name: &str, mdes: &str, subsumed: bool, wildcard: bool, work: Option<u64>) -> Request {
+        Request::Compile {
+            kernel: KERNEL.into(),
+            name: name.into(),
+            mdes: mdes.into(),
+            subsumed,
+            wildcard,
+            work_budget: work,
+        }
+    }
+
+    /// Every field that can change the output bytes moves the key; the
+    /// frame id and a requested work budget admitted to the same units
+    /// do not.
+    #[test]
+    fn the_key_moves_with_every_output_field_and_nothing_else() {
+        let program = isax_ir::parse_program(KERNEL).unwrap();
+        let other = isax_ir::parse_program(&KERNEL.replace("#1", "#2")).unwrap();
+        let key = |id, request, units| request_key(&Frame { id, request }, &program, units);
+        let base = key(1, cz("f", 15.0, false, Some(1000)), Some(50));
+        assert_eq!(key(2, cz("f", 15.0, false, None), Some(50)), base);
+        assert_eq!(key(3, cz("f", 15.0, false, Some(50)), Some(50)), base);
+        let next_ulp = f64::from_bits(15f64.to_bits() + 1);
+        let keys = [
+            base,
+            request_key(
+                &Frame {
+                    id: 1,
+                    request: cz("f", 15.0, false, None),
+                },
+                &other,
+                Some(50),
+            ),
+            key(1, cz("g", 15.0, false, None), Some(50)),
+            key(1, cz("f", next_ulp, false, None), Some(50)),
+            key(1, cz("f", 15.0, true, None), Some(50)),
+            key(1, cz("f", 15.0, false, None), Some(51)),
+            key(1, cz("f", 15.0, false, None), None),
+            key(1, cp("f", "{}", false, false, None), Some(50)),
+            key(1, cp("g", "{}", false, false, None), Some(50)),
+            key(1, cp("f", "{ }", false, false, None), Some(50)),
+            key(1, cp("f", "{}", true, false, None), Some(50)),
+            key(1, cp("f", "{}", false, true, None), Some(50)),
+        ];
+        let distinct: BTreeSet<u64> = keys.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            keys.len(),
+            "two requests share a key: {keys:?}"
+        );
     }
 }

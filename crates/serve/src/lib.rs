@@ -14,7 +14,8 @@
 //! - [`protocol`] — newline-delimited JSON frames (`customize` /
 //!   `compile` / `stats` / `shutdown`), a total, panic-free codec over
 //!   `isax-json`;
-//! - [`cache`] — canonical kernel fingerprint + config hash keys over a
+//! - [`cache`] — one key per canonical request (its wire encoding with
+//!   the kernel re-printed and the work units the run gets) over a
 //!   first-insert-wins concurrent map;
 //! - [`server`] — the bounded work queue, worker pool, isax-guard
 //!   admission control and stats endpoint;
@@ -40,7 +41,7 @@ pub mod protocol;
 pub mod server;
 pub mod telemetry;
 
-pub use cache::{fnv64, kernel_fingerprint, ArtifactCache, CacheKey, ConfigHasher};
+pub use cache::{fnv64, ArtifactCache};
 pub use client::Client;
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, frame_id, Artifacts,

@@ -27,7 +27,10 @@
 //! absent optional field takes its default (`id` 0, `budget` 15, flags
 //! false, no work budget); a present field of the wrong type or out of
 //! range, an unknown field and a repeated field are each a
-//! [`ErrorCode::BadRequest`] that names the field.
+//! [`ErrorCode::BadRequest`] that names the field. Responses are decoded
+//! by the same rules: every field below is required, an ok response
+//! carries exactly one payload, and within `artifacts` only `degraded`
+//! is required.
 //!
 //! Response grammar:
 //!
@@ -262,23 +265,19 @@ pub struct Response {
     pub reply: Reply,
 }
 
-fn opt_u64(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(Value::as_u64)
-}
-
-fn opt_bool(v: &Value, key: &str, default: bool) -> bool {
-    v.get(key).and_then(Value::as_bool).unwrap_or(default)
-}
-
 fn bad_request(message: String) -> WireError {
     WireError::new(ErrorCode::BadRequest, message)
 }
 
-/// A request object's fields under [`isax_json::Fields`], each refusal
-/// a `BadRequest` naming the field.
+/// A frame object's fields under [`isax_json::Fields`], each refusal a
+/// `BadRequest` naming the field.
 struct Fields<'a>(isax_json::Fields<'a>);
 
 impl<'a> Fields<'a> {
+    fn of(v: &'a Value) -> Result<Fields<'a>, WireError> {
+        isax_json::Fields::of(v).map(Fields).map_err(bad_request)
+    }
+
     fn opt<T>(
         &mut self,
         key: &'static str,
@@ -288,11 +287,23 @@ impl<'a> Fields<'a> {
         self.0.opt(key, want, rule).map_err(bad_request)
     }
 
+    fn req<T>(
+        &mut self,
+        key: &'static str,
+        want: &str,
+        rule: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, WireError> {
+        self.0.req(key, want, rule).map_err(bad_request)
+    }
+
     fn string(&mut self, key: &'static str) -> Result<String, WireError> {
-        self.0
-            .req(key, "a string", Value::as_str)
-            .map(str::to_string)
-            .map_err(bad_request)
+        self.req(key, "a string", Value::as_str).map(str::to_string)
+    }
+
+    fn opt_string(&mut self, key: &'static str) -> Result<Option<String>, WireError> {
+        Ok(self
+            .opt(key, "a string", Value::as_str)?
+            .map(str::to_string))
     }
 
     fn flag(&mut self, key: &'static str) -> Result<bool, WireError> {
@@ -373,9 +384,7 @@ pub fn frame_id(line: &str) -> u64 {
 pub fn decode_request(line: &str) -> Result<Frame, WireError> {
     let v = isax_json::parse(line)
         .map_err(|e| WireError::new(ErrorCode::MalformedFrame, e.to_string()))?;
-    let mut f = isax_json::Fields::of(&v)
-        .map(Fields)
-        .ok_or_else(|| bad_request("frame is not a JSON object".into()))?;
+    let mut f = Fields::of(&v)?;
     let req = f.string("req")?;
     let id = f.units("id")?.unwrap_or(0);
     let request = match req.as_str() {
@@ -431,27 +440,37 @@ fn artifacts_to_value(a: &Artifacts) -> Value {
     object(fields)
 }
 
+fn bad_request_in(at: &str) -> impl Fn(WireError) -> WireError + '_ {
+    move |e| bad_request(format!("{at}: {}", e.message))
+}
+
 fn artifacts_from_value(v: &Value) -> Result<Artifacts, WireError> {
-    let degraded = v
-        .get("degraded")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .map(|d| {
-            d.as_str().map(str::to_string).ok_or_else(|| {
-                WireError::new(ErrorCode::BadRequest, "non-string degradation entry")
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let s = |key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
-    Ok(Artifacts {
-        mdes: s("mdes"),
-        assembly: s("assembly"),
-        prov: s("prov"),
-        baseline_cycles: opt_u64(v, "baseline_cycles"),
-        custom_cycles: opt_u64(v, "custom_cycles"),
-        degraded,
-    })
+    let mut f = Fields::of(v)?;
+    let artifacts = Artifacts {
+        mdes: f.opt_string("mdes")?,
+        assembly: f.opt_string("assembly")?,
+        prov: f.opt_string("prov")?,
+        baseline_cycles: f.units("baseline_cycles")?,
+        custom_cycles: f.units("custom_cycles")?,
+        degraded: f.req("degraded", "an array of strings", |d| {
+            d.as_array()?
+                .iter()
+                .map(|s| s.as_str().map(str::to_string))
+                .collect()
+        })?,
+    };
+    f.finish()?;
+    Ok(artifacts)
+}
+
+fn error_from_value(v: &Value) -> Result<WireError, WireError> {
+    let mut f = Fields::of(v)?;
+    let code = f.req("code", "a wire error code", |c| {
+        c.as_str().and_then(ErrorCode::parse)
+    })?;
+    let message = f.string("message")?;
+    f.finish()?;
+    Ok(WireError::new(code, message))
 }
 
 /// Encodes a response frame as one line (no trailing newline).
@@ -495,6 +514,11 @@ pub fn encode_response(resp: &Response) -> String {
 
 /// Decodes a response line.
 ///
+/// Each field is decoded by one typed rule, as in [`decode_request`]:
+/// `id` is a non-negative integer, `ok` and `cached` are booleans, an
+/// ok response carries exactly one payload, and a missing, mistyped,
+/// unknown or repeated field is refused naming it.
+///
 /// # Errors
 ///
 /// [`ErrorCode::MalformedFrame`] / [`ErrorCode::BadRequest`] exactly as
@@ -502,46 +526,69 @@ pub fn encode_response(resp: &Response) -> String {
 pub fn decode_response(line: &str) -> Result<Response, WireError> {
     let v = isax_json::parse(line)
         .map_err(|e| WireError::new(ErrorCode::MalformedFrame, e.to_string()))?;
-    if v.as_object().is_none() {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            "frame is not a JSON object",
-        ));
-    }
-    let id = opt_u64(&v, "id").unwrap_or(0);
-    let ok = v
-        .get("ok")
-        .and_then(Value::as_bool)
-        .ok_or_else(|| WireError::new(ErrorCode::BadRequest, "missing `ok` field"))?;
-    let reply = if !ok {
-        let e = v
-            .get("error")
-            .ok_or_else(|| WireError::new(ErrorCode::BadRequest, "error response without body"))?;
-        let code = e
-            .get("code")
-            .and_then(Value::as_str)
-            .and_then(ErrorCode::parse)
-            .ok_or_else(|| WireError::new(ErrorCode::BadRequest, "unknown error code"))?;
-        Reply::Error(WireError::new(
-            code,
-            e.get("message").and_then(Value::as_str).unwrap_or(""),
-        ))
-    } else if let Some(a) = v.get("artifacts") {
-        Reply::Artifacts {
-            cached: opt_bool(&v, "cached", false),
-            artifacts: artifacts_from_value(a)?,
+    let mut f = Fields::of(&v)?;
+    let id = f.req("id", "a non-negative integer", Value::as_u64)?;
+    let reply = if f.req("ok", "true or false", Value::as_bool)? {
+        let artifacts = f.opt("artifacts", "an object", Some)?;
+        let stats = f.opt("stats", "a JSON value", Some)?;
+        let metrics = f.opt("metrics", "a string", Value::as_str)?;
+        let shutdown = f.opt("shutdown", "true", |v| {
+            (v.as_bool() == Some(true)).then_some(())
+        })?;
+        match (artifacts, stats, metrics, shutdown) {
+            (Some(a), None, None, None) => Reply::Artifacts {
+                cached: f.req("cached", "true or false", Value::as_bool)?,
+                artifacts: artifacts_from_value(a).map_err(bad_request_in("artifacts"))?,
+            },
+            (None, Some(s), None, None) => Reply::Stats(s.clone()),
+            (None, None, Some(m), None) => Reply::Metrics(m.to_string()),
+            (None, None, None, Some(())) => Reply::Shutdown,
+            _ => {
+                return Err(bad_request(
+                    "an ok response carries exactly one of `artifacts`, `stats`, `metrics` \
+                     and `shutdown`"
+                        .into(),
+                ))
+            }
         }
-    } else if let Some(s) = v.get("stats") {
-        Reply::Stats(s.clone())
-    } else if let Some(m) = v.get("metrics").and_then(Value::as_str) {
-        Reply::Metrics(m.to_string())
-    } else if opt_bool(&v, "shutdown", false) {
-        Reply::Shutdown
     } else {
-        return Err(WireError::new(
-            ErrorCode::BadRequest,
-            "ok response without a recognized payload",
-        ));
+        let error = f.req("error", "an object", Some)?;
+        Reply::Error(error_from_value(error).map_err(bad_request_in("error"))?)
     };
+    f.finish()?;
     Ok(Response { id, reply })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn refusal(line: &str) -> String {
+        match decode_response(line) {
+            Err(e) if e.code == ErrorCode::BadRequest => e.message,
+            other => panic!("{line}: expected bad-request, got {other:?}"),
+        }
+    }
+
+    /// A mistyped or unknown response field is refused naming it, never
+    /// read as a default.
+    #[test]
+    fn responses_decode_by_one_rule_per_field() {
+        let msg = refusal(
+            r#"{"id":1,"ok":true,"cached":"yes","artifacts":{"mdes":5,"baseline_cycles":"x","bogus":1}}"#,
+        );
+        assert!(msg.contains("`cached`"), "{msg}");
+        let msg =
+            refusal(r#"{"id":1,"ok":true,"cached":true,"artifacts":{"mdes":5,"degraded":[]}}"#);
+        assert!(msg.contains("artifacts: bad `mdes`"), "{msg}");
+        let msg =
+            refusal(r#"{"id":1,"ok":true,"cached":true,"artifacts":{"degraded":[],"bogus":1}}"#);
+        assert!(msg.contains("artifacts: unknown field `bogus`"), "{msg}");
+        let msg = refusal(r#"{"id":"seven","ok":false,"error":{"code":"busy"}}"#);
+        assert!(msg.contains("`id`"), "{msg}");
+        let msg = refusal(r#"{"id":7,"ok":false,"error":{"code":"busy"}}"#);
+        assert!(msg.contains("error: missing `message`"), "{msg}");
+        let msg = refusal(r#"{"id":7,"ok":true,"metrics":"m","shutdown":true}"#);
+        assert!(msg.contains("exactly one"), "{msg}");
+    }
 }

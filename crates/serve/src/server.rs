@@ -25,7 +25,7 @@
 //! logs ride on stage return values, so concurrent requests never
 //! interleave.
 
-use crate::cache::{fnv64, kernel_fingerprint, ArtifactCache, CacheKey, ConfigHasher};
+use crate::cache::{fnv64, request_key, ArtifactCache};
 use crate::protocol::{
     decode_request, encode_response, frame_id, Artifacts, ErrorCode, Frame, Reply, Request,
     Response, WireError, MAX_FRAME_BYTES,
@@ -427,7 +427,7 @@ impl Shared {
     /// [replayable](isax::DegradationKind::replayable)
     /// (a deadline, a contained panic or a cancellation): such results
     /// are served but never cached.
-    fn store(&self, key: CacheKey, report: &StageReport, artifacts: Artifacts) -> Artifacts {
+    fn store(&self, key: u64, report: &StageReport, artifacts: Artifacts) -> Artifacts {
         let artifacts = Artifacts {
             degraded: report
                 .degradations
@@ -467,38 +467,45 @@ impl Shared {
     /// The server's share of a work request: wire error codes, the cache
     /// key and lookup, stage timing and the replayable-store rule. The
     /// artifacts come from the `Customizer` entry points `isax
-    /// customize` and `isax compile` call.
+    /// customize` and `isax compile` call. A compile's MDES is parsed
+    /// only on a miss: the key covers its text, and a text that did not
+    /// parse was never stored.
     fn try_process(
         &self,
         frame: Frame,
         info: &mut WorkInfo,
     ) -> Result<(bool, Artifacts), WireError> {
-        let parse = |kernel: &str| {
-            isax_ir::parse_program(kernel)
-                .map_err(|e| WireError::new(ErrorCode::ParseError, e.to_string()))
-        };
-        match frame.request {
+        // Control requests never reach the queue.
+        let control = || WireError::new(ErrorCode::BadRequest, "control request on the work queue");
+        let (kernel, work_budget) = match &frame.request {
             Request::Customize {
                 kernel,
+                work_budget,
+                ..
+            }
+            | Request::Compile {
+                kernel,
+                work_budget,
+                ..
+            } => (kernel, *work_budget),
+            Request::Stats | Request::Metrics | Request::Shutdown => return Err(control()),
+        };
+        let program = self.timed(info, "parse", || {
+            isax_ir::parse_program(kernel)
+                .map_err(|e| WireError::new(ErrorCode::ParseError, e.to_string()))
+        })?;
+        let cz = self.customizer(work_budget, info);
+        let key = request_key(&frame, &program, cz.guard.budget().units);
+        if let Some(hit) = self.cache.lookup(key) {
+            return Ok((true, (*hit).clone()));
+        }
+        match frame.request {
+            Request::Customize {
                 name,
                 budget,
                 multifunction,
-                work_budget,
+                ..
             } => {
-                let program = self.timed(info, "parse", || parse(&kernel))?;
-                let cz = self.customizer(work_budget, info);
-                let key = CacheKey {
-                    kernel: kernel_fingerprint(&program),
-                    config: ConfigHasher::new("customize")
-                        .field("name", name.as_bytes())
-                        .f64("budget", budget)
-                        .bool("multifunction", multifunction)
-                        .guard(&cz.guard)
-                        .finish(),
-                };
-                if let Some(hit) = self.cache.lookup(key) {
-                    return Ok((true, (*hit).clone()));
-                }
                 let analysis = self.timed(info, "analyze", || cz.analyze(&program));
                 let (mdes, sel) = self.timed(info, "select", || {
                     cz.customize_analysis(&name, analysis, budget, multifunction)
@@ -514,38 +521,20 @@ impl Shared {
                 Ok((false, self.store(key, &sel.report, artifacts)))
             }
             Request::Compile {
-                kernel,
                 name,
                 mdes,
                 subsumed,
                 wildcard,
-                work_budget,
+                ..
             } => {
-                let program = self.timed(info, "parse", || parse(&kernel))?;
-                let parsed_mdes = Mdes::from_json(&mdes)
+                let mdes = Mdes::from_json(&mdes)
                     .map_err(|e| WireError::new(ErrorCode::BadMdes, e.to_string()))?;
-                let cz = self.customizer(work_budget, info);
-                let key = CacheKey {
-                    kernel: kernel_fingerprint(&program),
-                    config: ConfigHasher::new("compile")
-                        .field("name", name.as_bytes())
-                        .field("mdes", mdes.as_bytes())
-                        .bool("subsumed", subsumed)
-                        .bool("wildcard", wildcard)
-                        .guard(&cz.guard)
-                        .finish(),
-                };
-                if let Some(hit) = self.cache.lookup(key) {
-                    return Ok((true, (*hit).clone()));
-                }
                 let matching = MatchOptions::from_flags(subsumed, wildcard);
-                let ev = self.timed(info, "evaluate", || {
-                    cz.evaluate(&program, &parsed_mdes, matching)
-                });
+                let ev = self.timed(info, "evaluate", || cz.evaluate(&program, &mdes, matching));
                 let prov = cz.provenance_report(
                     &name,
                     &ev.compiled.report.prov,
-                    Some(&parsed_mdes),
+                    Some(&mdes),
                     Some(&ev.compiled),
                 );
                 let artifacts = Artifacts {
@@ -557,11 +546,7 @@ impl Shared {
                 };
                 Ok((false, self.store(key, &ev.compiled.report, artifacts)))
             }
-            // Control requests never reach the queue.
-            Request::Stats | Request::Metrics | Request::Shutdown => Err(WireError::new(
-                ErrorCode::BadRequest,
-                "control request on the work queue",
-            )),
+            Request::Stats | Request::Metrics | Request::Shutdown => Err(control()),
         }
     }
 }

@@ -12,7 +12,7 @@
 use isax_json::Value;
 use isax_serve::{
     decode_request, decode_response, encode_request, encode_response, frame_id, ArtifactCache,
-    Artifacts, CacheKey, ErrorCode, Frame, Reply, Request, Response, WireError,
+    Artifacts, ErrorCode, Frame, Reply, Request, Response, WireError,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -354,12 +354,10 @@ proptest! {
     /// visible.)
     #[test]
     fn cache_insert_linearizes_under_races(
-        kernel in any::<u64>(),
-        config in any::<u64>(),
+        key in any::<u64>(),
         threads in 2usize..8,
     ) {
         let cache = Arc::new(ArtifactCache::new());
-        let key = CacheKey { kernel, config };
         let winners: Vec<Arc<Artifacts>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
@@ -386,7 +384,6 @@ proptest! {
         }
         prop_assert_eq!(cache.len(), 1);
         // Distinct keys never alias.
-        let other = CacheKey { kernel: kernel.wrapping_add(1), config };
-        prop_assert!(cache.lookup(other).is_none());
+        prop_assert!(cache.lookup(key.wrapping_add(1)).is_none());
     }
 }

@@ -9,6 +9,7 @@
 //!   an unknown or repeated flag and a stray argument are each a usage
 //!   error (`main` exits 2) that names the culprit, and the server
 //!   refuses the budgets the command line refuses.
+//! * `isax compile` refuses an MDES it cannot honour, naming the field.
 
 mod common;
 
@@ -117,6 +118,35 @@ fn explain_refuses_a_malformed_report_naming_the_field() {
 }
 
 /// Every numeric flag of every command, with a value its rule refuses.
+/// An MDES whose CFU ids are not their positions is refused naming the
+/// field, even when provenance (which indexes CFUs by id) is recorded.
+#[test]
+fn compile_refuses_an_mdes_whose_cfu_ids_are_not_positions() {
+    let dir = std::env::temp_dir().join(format!("isax-cli-ids-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |f: &str| dir.join(f).to_string_lossy().into_owned();
+    let kernel = format!("{}/kernels/crc.isax", env!("CARGO_MANIFEST_DIR"));
+    isax(&["customize", &kernel, "--out", &path("m.json")]).unwrap();
+    let mut mdes =
+        isax::Mdes::from_json(&std::fs::read_to_string(path("m.json")).unwrap()).unwrap();
+    assert!(!mdes.cfus.is_empty());
+    for cfu in &mut mdes.cfus {
+        cfu.id += 7;
+    }
+    std::fs::write(path("m7.json"), mdes.to_json().unwrap()).unwrap();
+    let err = isax(&[
+        "compile",
+        &kernel,
+        "--mdes",
+        &path("m7.json"),
+        "--prov-out",
+        &path("p.json"),
+    ])
+    .unwrap_err();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(err.contains("bad `cfus[0].id` field"), "{err}");
+}
+
 #[test]
 fn every_numeric_flag_refuses_a_bad_value() {
     let commands: [(&[&str], &str); 12] = [

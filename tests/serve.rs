@@ -10,8 +10,9 @@
 //!   compile` write for the same request;
 //! * a cold miss and the warm hit that follows return identical bytes
 //!   (and the hit is actually served from cache);
-//! * malformed, oversized and truncated frames produce structured
-//!   errors and never kill the server;
+//! * a kernel re-sent with only layout changes is served from cache;
+//! * malformed, oversized and truncated frames, and an MDES the compiler
+//!   cannot honour, produce structured errors and never kill the server;
 //! * budget-exhausted requests degrade exactly like the governed CLI —
 //!   sound artifacts plus intact `Degradation` records.
 //!
@@ -507,6 +508,98 @@ fn env_governed_results_are_keyed_by_their_guard_and_deadlines_never_cached() {
             art.degraded
         );
     }
+    server.shutdown();
+}
+
+/// The cache keys a kernel by its parsed program: the same kernel
+/// re-sent under a new id with blank lines and indentation added is a
+/// hit, with byte-identical artifacts.
+#[test]
+fn reformatted_kernels_hit_the_same_entry() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let server = Server::spawn(ServeConfig {
+        workers: 1,
+        stats: EnvMode::Off,
+        ..ServeConfig::default()
+    })
+    .expect("server spawns");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let text = isax_workloads::by_name("crc")
+        .unwrap()
+        .program
+        .functions_text();
+    let noisy: String = text.lines().map(|l| format!("\n   {l}\n")).collect();
+    assert_ne!(noisy, text);
+
+    let (cached, cold) = client
+        .artifacts(customize_request("crc", &text, false, None))
+        .expect("customize succeeds");
+    assert!(!cached);
+    let (cached, warm) = client
+        .artifacts(customize_request("crc", &noisy, false, None))
+        .expect("reformatted customize succeeds");
+    assert!(cached, "a reformatted kernel must hit the cache");
+    assert_eq!(warm, cold);
+
+    let mdes = cold.mdes.expect("customize returns an MDES");
+    let (cached, cold) = client
+        .artifacts(compile_request("crc", &text, &mdes, None))
+        .expect("compile succeeds");
+    assert!(!cached);
+    let (cached, warm) = client
+        .artifacts(compile_request("crc", &noisy, &mdes, None))
+        .expect("reformatted compile succeeds");
+    assert!(cached, "a reformatted kernel must hit the cache");
+    assert_eq!(warm, cold);
+    server.shutdown();
+}
+
+/// An MDES whose CFU ids are not their positions is `bad-mdes`, not a
+/// worker panic: the next request on the same one-worker server still
+/// gets its artifacts.
+#[test]
+fn misnumbered_mdes_is_refused_and_the_worker_survives() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let server = Server::spawn(ServeConfig {
+        workers: 1,
+        stats: EnvMode::Off,
+        ..ServeConfig::default()
+    })
+    .expect("server spawns");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let text = isax_workloads::by_name("crc")
+        .unwrap()
+        .program
+        .functions_text();
+    let (_, art) = client
+        .artifacts(customize_request("crc", &text, false, None))
+        .expect("customize succeeds");
+    let good = art.mdes.expect("customize returns an MDES");
+    let mut mdes = isax::Mdes::from_json(&good).unwrap();
+    assert!(!mdes.cfus.is_empty());
+    for cfu in &mut mdes.cfus {
+        cfu.id += 7;
+    }
+    let resp = client
+        .request(compile_request(
+            "crc",
+            &text,
+            &mdes.to_json().unwrap(),
+            None,
+        ))
+        .expect("transport survives");
+    match resp.reply {
+        Reply::Error(e) => {
+            assert_eq!(e.code, ErrorCode::BadMdes, "{e}");
+            assert!(e.message.contains("`cfus[0].id`"), "{e}");
+        }
+        other => panic!("expected bad-mdes, got {other:?}"),
+    }
+    let (cached, art) = client
+        .artifacts(compile_request("crc", &text, &good, None))
+        .expect("the worker still serves");
+    assert!(!cached);
+    assert!(art.assembly.is_some());
     server.shutdown();
 }
 
