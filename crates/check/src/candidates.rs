@@ -16,7 +16,7 @@
 //!   range, non-reflexive, symmetric, and connect equal-size patterns;
 //! * `IC0306` — **structural integrity**: indices in range, occurrence
 //!   subgraphs isomorphic to their CFU's pattern, subsumption links
-//!   well-formed, MDES ids unique;
+//!   well-formed;
 //! * `IC0307` — **MDES port limits**: every emitted `CfuSpec` fits the
 //!   machine description's declared maxima.
 
@@ -248,20 +248,12 @@ pub fn check_selection(cfus: &[CfuCandidate], selection: &Selection) -> Report {
     report
 }
 
-/// Checks an emitted machine description: unique ids, port limits, and
+/// Checks an emitted machine description: port limits, latency, and
 /// opcode eligibility of every pattern (primary and subsumed).
 pub fn check_mdes(mdes: &Mdes, hw: &HwLibrary) -> Report {
     let mut report = Report::new();
-    let mut ids = std::collections::BTreeSet::new();
-    for spec in &mdes.cfus {
-        let loc = Location::Cfu { id: spec.id };
-        if !ids.insert(spec.id) {
-            report.push(Diagnostic::error(
-                "IC0306",
-                loc.clone(),
-                "duplicate CFU id in machine description".to_string(),
-            ));
-        }
+    for (i, spec) in mdes.cfus.iter().enumerate() {
+        let loc = Location::Cfu { id: i as u16 };
         if spec.inputs > mdes.max_inputs {
             report.push(Diagnostic::error(
                 "IC0307",

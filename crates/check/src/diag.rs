@@ -70,7 +70,7 @@ pub enum Location {
     },
     /// A custom function unit in the machine description.
     Cfu {
-        /// The `CfuSpec::id`.
+        /// The CFU's position in `Mdes::cfus`.
         id: u16,
     },
     /// An interpreter entry point.

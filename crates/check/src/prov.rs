@@ -100,12 +100,8 @@ pub fn check_provenance(
         // the select stage (a compile-only report legitimately has no
         // selection events).
         let covers_select = log.events().iter().any(|(_, e)| e.stage() == "select");
-        for id in mdes
-            .cfus
-            .iter()
-            .map(|spec| spec.id)
-            .filter(|_| covers_select)
-        {
+        for (pos, &fp) in cfu_fps.iter().enumerate().filter(|_| covers_select) {
+            let id = pos as u16;
             let Some(c) = cands.iter().find(|c| c.cfu == Some(id)) else {
                 r.push(Diagnostic::error(
                     "IC0701",
@@ -114,14 +110,14 @@ pub fn check_provenance(
                 ));
                 continue;
             };
-            if c.fingerprint != cfu_fps[id as usize] {
+            if c.fingerprint != fp {
                 r.push(Diagnostic::error(
                     "IC0703",
                     Location::Cfu { id },
                     format!(
                         "SelectedAsCfu candidate {} does not match the CFU's pattern fingerprint {}",
                         hex(c.fingerprint),
-                        hex(cfu_fps[id as usize])
+                        hex(fp)
                     ),
                 ));
             }

@@ -14,7 +14,8 @@ use crate::replace::{apply_matches, AppliedMatch};
 use crate::schedule::{
     function_cycles_metered, sequential_function_cycles, CustomInfo, CustomOpInfo, VliwModel,
 };
-use isax_guard::{DegradationKind, Guard, Stage, StageReport};
+use isax_graph::par::par_map;
+use isax_guard::{DegradationKind, Guard, Meter, Stage, StageReport};
 use isax_hwlib::HwLibrary;
 use isax_ir::{function_dfgs, Program};
 
@@ -168,7 +169,7 @@ pub fn compile_guarded(
         }
         let accepted = {
             let _s = isax_trace::span("compile.prioritize");
-            prioritize(matches, mdes, &dfgs)
+            prioritize(matches, &dfgs)
         };
         let _s = isax_trace::span("compile.replace");
         let mut cf = apply_matches(f, &dfgs, &accepted, mdes, sem_base);
@@ -177,7 +178,7 @@ pub fn compile_guarded(
                 // `savings` is weight × (sw_latency − cfu_latency), so
                 // before = after + savings reconstructs the weighted
                 // software cost of the replaced operations.
-                let latency = u64::from(mdes.cfu(a.cfu).map(|c| c.latency).unwrap_or(1));
+                let latency = u64::from(mdes.cfus[usize::from(a.cfu)].latency);
                 let cycles_after = dfgs[a.block].weight() * latency;
                 report.prov.record(
                     cfu_fps[a.cfu as usize],
@@ -271,30 +272,24 @@ pub fn compile_guarded(
     }
 }
 
-/// Convenience: baseline cycle count of a program. Ungoverned; a
-/// contained scheduler panic is re-raised, because a sequential-fallback
-/// count would silently inflate every speedup measured against it.
+/// Baseline cycle count of a program: what [`compile`] against
+/// [`Mdes::baseline`] reports, without matching, replacement or
+/// register allocation. Each function is list-scheduled unchanged under
+/// an unlimited meter, in parallel and summed in input order. A
+/// scheduler panic propagates: a sequential-fallback count would
+/// silently inflate every speedup measured against it.
 pub fn baseline_cycles(program: &Program, hw: &HwLibrary, model: &VliwModel) -> u64 {
-    baseline_cycles_under(program, hw, model, &Guard::unlimited())
+    let no_custom = CustomInfo::new();
+    par_map(&program.functions, |f| {
+        let mut meter = Meter::unlimited(Stage::Schedule, 0);
+        function_cycles_metered(f, hw, &no_custom, model, &mut meter).0
+    })
+    .into_iter()
+    .sum()
 }
 
-/// [`baseline_cycles`] under `guard`, so a test can inject a fault.
-fn baseline_cycles_under(
-    program: &Program,
-    hw: &HwLibrary,
-    model: &VliwModel,
-    guard: &Guard,
-) -> u64 {
-    let opts = CompileOptions {
-        matching: MatchOptions::exact(),
-        model: *model,
-    };
-    let out = compile_guarded(program, &Mdes::baseline(), hw, &opts, guard);
-    isax_guard::reraise_contained(&out.report.degradations);
-    out.cycles
-}
-
-/// Speedup of `custom` relative to `baseline` cycle counts.
+/// Speedup of `custom` relative to `baseline` cycle counts: 1 when
+/// `custom` is 0.
 pub fn speedup(baseline: u64, custom: u64) -> f64 {
     if custom == 0 {
         1.0
@@ -352,6 +347,21 @@ mod tests {
         assert!(s > 1.3, "expected a solid speedup, got {s:.2}");
         assert!(!custom.applied.is_empty());
         assert_eq!(custom.spills, 0);
+    }
+
+    #[test]
+    fn baseline_cycles_equal_a_compile_against_the_baseline_mdes() {
+        let (f, _) = app_and_mdes(15.0);
+        let mut g = f.functions[0].clone();
+        g.name = "g".into();
+        let p = Program::new(vec![f.functions[0].clone(), g]);
+        let model = VliwModel::default();
+        let opts = CompileOptions {
+            matching: MatchOptions::exact(),
+            model,
+        };
+        let compiled = compile(&p, &Mdes::baseline(), &hw(), &opts);
+        assert_eq!(baseline_cycles(&p, &hw(), &model), compiled.cycles);
     }
 
     #[test]
@@ -437,23 +447,6 @@ mod tests {
         let (seq, _) =
             sequential_function_cycles(&out.program.functions[0], &hw(), &out.custom_info);
         assert_eq!(out.cycles, seq);
-    }
-
-    #[test]
-    fn baseline_schedule_panic_is_reraised_not_counted() {
-        use isax_guard::{FaultKind, FaultPlan};
-        let (p, _) = app_and_mdes(15.0);
-        let guard = Guard::unlimited().with_fault(FaultPlan {
-            stage: Stage::Schedule,
-            kind: FaultKind::Panic,
-            nth: 0,
-        });
-        let model = VliwModel::default();
-        let payload = std::panic::catch_unwind(|| baseline_cycles_under(&p, &hw(), &model, &guard))
-            .expect_err("a baseline that panicked has no cycle count");
-        let msg = payload.downcast_ref::<String>().unwrap();
-        assert!(msg.starts_with("schedule[item 0]: panicked"), "got: {msg}");
-        assert!(msg.contains("injected panic"), "got: {msg}");
     }
 
     #[test]

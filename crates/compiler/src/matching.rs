@@ -220,7 +220,7 @@ type PreparedPattern<'a> = (&'a DiGraph<DfgLabel>, bool, HashMap<u64, usize>);
 
 /// Finds every legal match of every CFU in the given function DFGs.
 ///
-/// Matches are returned grouped by CFU priority (the MDES order), ready
+/// Matches are returned grouped by CFU number (the MDES order), ready
 /// for [`crate::prioritize::prioritize`]. Ungoverned; a contained worker
 /// panic is re-raised, since the result has no degradation records.
 ///
@@ -289,9 +289,7 @@ pub fn find_matches_guarded_with_stats(
         |ji, (out, _)| {
             let (ci, block) = ctx.jobs[ji];
             format!(
-                "cfu {} in block {}: kept {} matches, then stopped enumerating embeddings",
-                ctx.mdes.cfus[ci].id,
-                block,
+                "cfu {ci} in block {block}: kept {} matches, then stopped enumerating embeddings",
                 out.len(),
             )
         },
@@ -460,7 +458,7 @@ impl<'a> MatchCtx<'a> {
                     .zip(pattern.node_ids())
                     .all(|(&t, p)| pattern[p].matches_exact(&target[t]));
                 out.push(PatternMatch {
-                    cfu: cfu.id,
+                    cfu: ci as u16,
                     block,
                     nodes,
                     mapping: mapping.iter().map(|n| n.index()).collect(),
@@ -507,14 +505,12 @@ mod tests {
         };
         Mdes {
             cfus: vec![CfuSpec {
-                id: 0,
                 name: "add-and".into(),
                 pattern,
                 latency: 1,
                 area: 1.12,
                 inputs: 3,
                 outputs: 1,
-                priority: 0,
                 estimated_value: 0,
                 subsumed_patterns,
             }],
@@ -574,14 +570,12 @@ mod tests {
         pattern.add_edge(b, c, 0);
         let mdes = Mdes {
             cfus: vec![CfuSpec {
-                id: 0,
                 name: "and-add-shl".into(),
                 pattern: pattern.clone(),
                 latency: 1,
                 area: 2.7,
                 inputs: 4,
                 outputs: 1,
-                priority: 0,
                 estimated_value: 0,
                 subsumed_patterns: contraction_closure(&pattern, 32),
             }],
@@ -645,14 +639,12 @@ mod tests {
         pattern.add_edge(pa, pb, 1);
         let mdes = Mdes {
             cfus: vec![CfuSpec {
-                id: 0,
                 name: "x".into(),
                 pattern,
                 latency: 1,
                 area: 1.0,
                 inputs: 3,
                 outputs: 1,
-                priority: 0,
                 estimated_value: 0,
                 subsumed_patterns: vec![],
             }],

@@ -4,9 +4,15 @@
 //! "The prioritized list of CFUs is converted in a machine description
 //! (MDES) form that can be fed to the compiler" (§3). The MDES records,
 //! for each custom function unit: the dataflow pattern it implements, its
-//! pipelined latency, port counts, area, replacement priority, and —
-//! because the compiler's generalized matching needs them — the contraction
-//! closure of patterns the unit subsumes.
+//! pipelined latency, port counts, area, and — because the compiler's
+//! generalized matching needs them — the contraction closure of patterns
+//! the unit subsumes.
+//!
+//! A CFU is its position in [`Mdes::cfus`]: that index is its selection
+//! rank, its replacement priority (0 = replace first; "custom
+//! instruction replacement in the compiler happens in the same order
+//! that CFUs are selected", §3.4) and the number matches, replacements
+//! and provenance events name it by.
 //!
 //! The MDES serializes to JSON so a CFU set generated for one application
 //! can be stored and reused to compile another (the cross-compilation
@@ -18,11 +24,12 @@ use isax_ir::{DfgLabel, Opcode};
 use isax_json::Value;
 use isax_select::{contraction_closure, CfuCandidate, Selection};
 
-/// One custom function unit in the machine description.
+/// One custom function unit in the machine description. It has no id
+/// field: its number is its position in [`Mdes::cfus`]. The emitted
+/// `Opcode::Custom` instructions carry a semantic id
+/// (`AppliedMatch::sem_id`), not this number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CfuSpec {
-    /// Identifier; `Opcode::Custom(id)` instructions reference the unit.
-    pub id: u16,
     /// Human-readable name (sorted mnemonics, e.g. `"add-and-shl"`).
     pub name: String,
     /// The exact dataflow pattern the hardware implements.
@@ -35,8 +42,6 @@ pub struct CfuSpec {
     pub inputs: u8,
     /// Register write ports.
     pub outputs: u8,
-    /// Replacement priority (0 = replace first) — the selection order.
-    pub priority: usize,
     /// Estimated cycle savings recorded at selection time.
     pub estimated_value: u64,
     /// Patterns this unit can also execute by feeding identity constants
@@ -59,7 +64,8 @@ pub struct CfuSpec {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mdes {
-    /// The custom function units, in priority order.
+    /// The custom function units in selection order: a unit's index is
+    /// its number and its replacement priority (0 = replace first).
     pub cfus: Vec<CfuSpec>,
     /// Machine-wide register read port limit for custom instructions.
     pub max_inputs: u8,
@@ -95,18 +101,15 @@ impl Mdes {
         let cfus = selection
             .chosen
             .iter()
-            .enumerate()
-            .map(|(i, sc)| {
+            .map(|sc| {
                 let c = &cands[sc.candidate];
                 CfuSpec {
-                    id: i as u16,
                     name: c.describe(),
                     pattern: c.pattern.clone(),
                     latency: c.hw_cycles,
                     area: c.area,
                     inputs: c.inputs.min(255) as u8,
                     outputs: c.outputs.min(255) as u8,
-                    priority: sc.priority,
                     estimated_value: sc.estimated_value,
                     subsumed_patterns: contraction_closure(&c.pattern, closure_cap),
                 }
@@ -114,15 +117,14 @@ impl Mdes {
             .collect();
         Mdes {
             cfus,
-            max_inputs: 5,
-            max_outputs: 3,
             source_app: source_app.to_string(),
+            ..Mdes::baseline()
         }
     }
 
-    /// Looks up a CFU by id.
+    /// The CFU numbered `id`: the one at that position.
     pub fn cfu(&self, id: u16) -> Option<&CfuSpec> {
-        self.cfus.iter().find(|c| c.id == id)
+        self.cfus.get(usize::from(id))
     }
 
     /// Total area of the CFU set (undiscounted sum).
@@ -141,10 +143,11 @@ impl Mdes {
 
     /// Parses from JSON.
     ///
-    /// Each field is read by one typed rule: `cfus[i].id` must be `i`
-    /// (the compiler and the provenance checks index CFUs by id),
-    /// integers must fit their field, and a missing, mistyped, unknown
-    /// or repeated field is refused with an error naming its path (e.g.
+    /// Each field is read by one typed rule: `cfus[i].id` and
+    /// `cfus[i].priority` must both be `i` (a CFU is its position, so
+    /// the document may not name another number), integers must fit
+    /// their field, and a missing, mistyped, unknown or repeated field
+    /// is refused with an error naming its path (e.g.
     /// `` bad `cfus[0].id` field ``).
     ///
     /// # Errors
@@ -160,7 +163,13 @@ impl Mdes {
         isax_json::object([
             (
                 "cfus",
-                Value::Array(self.cfus.iter().map(CfuSpec::to_value).collect()),
+                Value::Array(
+                    self.cfus
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| c.to_value(i))
+                        .collect(),
+                ),
             ),
             ("max_inputs", Value::from(self.max_inputs as u64)),
             ("max_outputs", Value::from(self.max_outputs as u64)),
@@ -187,16 +196,18 @@ impl Mdes {
 }
 
 impl CfuSpec {
-    fn to_value(&self) -> Value {
+    /// The CFU at position `i` as JSON; `id` and `priority` both
+    /// record the position.
+    fn to_value(&self, i: usize) -> Value {
         isax_json::object([
-            ("id", Value::from(self.id as u64)),
+            ("id", Value::from(i as u64)),
             ("name", Value::from(self.name.clone())),
             ("pattern", pattern_to_value(&self.pattern)),
             ("latency", Value::from(self.latency as u64)),
             ("area", Value::from(self.area)),
             ("inputs", Value::from(self.inputs as u64)),
             ("outputs", Value::from(self.outputs as u64)),
-            ("priority", Value::from(self.priority as u64)),
+            ("priority", Value::from(i as u64)),
             ("estimated_value", Value::from(self.estimated_value)),
             (
                 "subsumed_patterns",
@@ -214,12 +225,13 @@ impl CfuSpec {
     fn from_value(v: &Value, i: usize) -> Result<Self, String> {
         let mut f = isax_json::Fields::of(v)?;
         let position = format!("{i}, the CFU's position");
+        // A CFU's number must fit the `u16` that matches carry.
+        let is_position =
+            |n: &Value| (u16::try_from(i).is_ok() && n.as_u64() == Some(i as u64)).then_some(());
+        for key in ["id", "priority"] {
+            f.req(key, &position, is_position)?;
+        }
         let spec = CfuSpec {
-            id: f.req("id", &position, |id| {
-                u16::try_from(i)
-                    .ok()
-                    .filter(|&p| id.as_u64() == Some(u64::from(p)))
-            })?,
             name: f.req("name", STRING, Value::as_str)?.to_string(),
             pattern: pattern_from_value(f.req("pattern", "an object", Some)?)
                 .map_err(within("pattern"))?,
@@ -229,7 +241,6 @@ impl CfuSpec {
             area: f.req("area", "a number", Value::as_f64)?,
             inputs: f.req("inputs", U8, as_u8)?,
             outputs: f.req("outputs", U8, as_u8)?,
-            priority: f.req("priority", INTEGER, |n| usize::try_from(n.as_u64()?).ok())?,
             estimated_value: f.req("estimated_value", INTEGER, Value::as_u64)?,
             subsumed_patterns: f
                 .req("subsumed_patterns", "an array", Value::as_array)?
@@ -377,12 +388,19 @@ mod tests {
     }
 
     #[test]
-    fn selection_order_becomes_priority() {
+    fn json_names_each_cfu_by_its_position() {
         let mdes = build_mdes();
-        assert!(!mdes.cfus.is_empty());
-        for (i, c) in mdes.cfus.iter().enumerate() {
-            assert_eq!(c.priority, i);
-            assert_eq!(c.id, i as u16);
+        assert!(mdes.cfus.len() > 1);
+        let Value::Object(doc) = mdes.to_value() else {
+            unreachable!("an MDES encodes as an object")
+        };
+        let Value::Array(cfus) = &doc[0].1 else {
+            unreachable!("cfus is an array")
+        };
+        for (i, c) in cfus.iter().enumerate() {
+            for key in ["id", "priority"] {
+                assert_eq!(c.get(key).and_then(Value::as_u64), Some(i as u64), "{key}");
+            }
         }
     }
 
@@ -400,24 +418,8 @@ mod tests {
             assert_eq!(a.pattern, b.pattern);
             assert_eq!(a.subsumed_patterns, b.subsumed_patterns);
             assert_eq!(
-                (
-                    a.id,
-                    &a.name,
-                    a.latency,
-                    a.inputs,
-                    a.outputs,
-                    a.priority,
-                    a.estimated_value
-                ),
-                (
-                    b.id,
-                    &b.name,
-                    b.latency,
-                    b.inputs,
-                    b.outputs,
-                    b.priority,
-                    b.estimated_value
-                )
+                (&a.name, a.latency, a.inputs, a.outputs, a.estimated_value),
+                (&b.name, b.latency, b.inputs, b.outputs, b.estimated_value)
             );
         }
         assert_eq!(back.source_app, "kern");
@@ -442,11 +444,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_id() {
+    fn lookup_by_position() {
         let mdes = build_mdes();
-        let first = &mdes.cfus[0];
-        assert_eq!(mdes.cfu(first.id).unwrap().name, first.name);
-        assert!(mdes.cfu(9999).is_none());
+        let last = mdes.cfus.len() - 1;
+        assert_eq!(mdes.cfu(last as u16).unwrap().name, mdes.cfus[last].name);
+        assert!(mdes.cfu(mdes.cfus.len() as u16).is_none());
     }
 
     /// Rewrites one field of the first CFU (or of the document when
@@ -479,6 +481,7 @@ mod tests {
     fn every_field_is_read_by_its_rule_and_refusals_name_the_path() {
         for (cfu, key, value, path) in [
             (true, "id", Value::from(7u64), "`cfus[0].id`"),
+            (true, "priority", Value::from(7u64), "`cfus[0].priority`"),
             (true, "inputs", Value::from(256u64), "`cfus[0].inputs`"),
             (
                 true,

@@ -3,18 +3,18 @@
 //! "The hardware compiler provides a desirability ordering on the CFUs so
 //! that each operation is only assigned to the CFU that the hardware
 //! compiler thinks can make the best use of it" (§4.1). Matches are
-//! processed CFU-priority-first (selection order), best savings first
-//! within a CFU; a match is accepted only when none of its operations has
-//! been claimed by an earlier match.
+//! processed CFU-priority-first (a CFU's number is its selection rank),
+//! best savings first within a CFU; a match is accepted only when none of
+//! its operations has been claimed by an earlier match.
 
 use crate::matching::PatternMatch;
-use crate::mdes::Mdes;
 use crate::replace::supernodes_acyclic;
 use isax_ir::Dfg;
 use isax_select::Claims;
 
 /// Filters `matches` down to a non-overlapping, **jointly replaceable**
-/// set, honouring the MDES priority order, then savings.
+/// set, honouring the MDES priority order (lower CFU number first), then
+/// savings.
 ///
 /// Beyond per-operation claiming, each accepted match must keep the
 /// block's collapsed dependence graph acyclic together with the matches
@@ -27,14 +27,12 @@ use isax_select::Claims;
 /// # Example
 ///
 /// ```no_run
-/// # use isax_compiler::{prioritize, Mdes};
+/// # use isax_compiler::prioritize;
 /// # let matches = vec![];
-/// # let mdes = Mdes::baseline();
 /// # let dfgs: Vec<isax_ir::Dfg> = vec![];
-/// let accepted = prioritize(matches, &mdes, &dfgs);
+/// let accepted = prioritize(matches, &dfgs);
 /// ```
-pub fn prioritize(mut matches: Vec<PatternMatch>, mdes: &Mdes, dfgs: &[Dfg]) -> Vec<PatternMatch> {
-    let priority_of = |cfu: u16| mdes.cfu(cfu).map(|c| c.priority).unwrap_or(usize::MAX);
+pub fn prioritize(mut matches: Vec<PatternMatch>, dfgs: &[Dfg]) -> Vec<PatternMatch> {
     // Assignment tiers keep generalization from *displacing* perfect
     // fits: every exact match (of any CFU) outranks every wildcarded
     // match, which outranks every subsumed match. §3.4 describes the
@@ -51,7 +49,7 @@ pub fn prioritize(mut matches: Vec<PatternMatch>, mdes: &Mdes, dfgs: &[Dfg]) -> 
     matches.sort_by(|a, b| {
         tier(a)
             .cmp(&tier(b))
-            .then(priority_of(a.cfu).cmp(&priority_of(b.cfu)))
+            .then(a.cfu.cmp(&b.cfu))
             .then(b.savings.cmp(&a.savings))
             .then(a.block.cmp(&b.block))
             .then(a.nodes.cmp(&b.nodes))
@@ -87,29 +85,7 @@ pub fn prioritize(mut matches: Vec<PatternMatch>, mdes: &Mdes, dfgs: &[Dfg]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mdes::CfuSpec;
     use isax_graph::{BitSet, DiGraph};
-    use isax_ir::{DfgLabel, Opcode};
-
-    fn spec(id: u16, priority: usize) -> CfuSpec {
-        let mut pattern = DiGraph::new();
-        pattern.add_node(DfgLabel {
-            opcode: Opcode::Add,
-            imms: vec![],
-        });
-        CfuSpec {
-            id,
-            name: format!("cfu{id}"),
-            pattern,
-            latency: 1,
-            area: 1.0,
-            inputs: 2,
-            outputs: 1,
-            priority,
-            estimated_value: 0,
-            subsumed_patterns: vec![],
-        }
-    }
 
     fn mk_match(cfu: u16, block: usize, nodes: &[usize], savings: u64, sub: bool) -> PatternMatch {
         PatternMatch {
@@ -157,22 +133,13 @@ mod tests {
         isax_ir::function_dfgs(&fb.finish())
     }
 
-    fn mdes2() -> Mdes {
-        Mdes {
-            cfus: vec![spec(0, 0), spec(1, 1)],
-            max_inputs: 5,
-            max_outputs: 3,
-            source_app: "t".into(),
-        }
-    }
-
     #[test]
     fn higher_priority_cfu_wins_overlap() {
         let m = vec![
             mk_match(1, 0, &[1, 2], 1_000_000, false), // low priority, huge savings
             mk_match(0, 0, &[2, 3], 10, false),        // high priority
         ];
-        let acc = prioritize(m, &mdes2(), &dummy_dfgs(2, 8));
+        let acc = prioritize(m, &dummy_dfgs(2, 8));
         assert_eq!(acc.len(), 1);
         assert_eq!(acc[0].cfu, 0, "priority order beats raw savings");
     }
@@ -183,7 +150,7 @@ mod tests {
             mk_match(0, 0, &[1, 2], 10, false),
             mk_match(0, 0, &[2, 3], 90, false),
         ];
-        let acc = prioritize(m, &mdes2(), &dummy_dfgs(2, 8));
+        let acc = prioritize(m, &dummy_dfgs(2, 8));
         assert_eq!(acc.len(), 1);
         assert_eq!(acc[0].savings, 90);
     }
@@ -194,7 +161,7 @@ mod tests {
             mk_match(0, 0, &[1, 2], 100, true),
             mk_match(0, 0, &[2, 3], 50, false),
         ];
-        let acc = prioritize(m, &mdes2(), &dummy_dfgs(2, 8));
+        let acc = prioritize(m, &dummy_dfgs(2, 8));
         assert_eq!(acc.len(), 1);
         assert!(!acc[0].via_subsumption);
     }
@@ -206,7 +173,7 @@ mod tests {
             mk_match(0, 0, &[1, 2], 10, false),
             mk_match(1, 0, &[3, 4], 10, false),
         ];
-        let acc = prioritize(m, &mdes2(), &dummy_dfgs(2, 8));
+        let acc = prioritize(m, &dummy_dfgs(2, 8));
         assert_eq!(acc.len(), 3);
         assert!(acc.windows(2).all(|w| w[0].block <= w[1].block));
     }
@@ -217,7 +184,7 @@ mod tests {
             mk_match(0, 0, &[1, 2], 10, false),
             mk_match(1, 1, &[1, 2], 10, false), // same node ids, other block
         ];
-        let acc = prioritize(m, &mdes2(), &dummy_dfgs(2, 8));
+        let acc = prioritize(m, &dummy_dfgs(2, 8));
         assert_eq!(acc.len(), 2);
     }
 }

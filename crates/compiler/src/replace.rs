@@ -122,10 +122,10 @@ pub fn supernodes_acyclic(dfg: &Dfg, groups: &[&isax_graph::BitSet]) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if matches overlap, reference out-of-range blocks, or are
-/// non-convex (callers must use [`crate::prioritize::prioritize`] on
+/// Panics if matches overlap, reference out-of-range blocks or CFUs, or
+/// are non-convex (callers must use [`crate::prioritize::prioritize`] on
 /// matches from [`crate::matching::find_matches`], which guarantee all
-/// three).
+/// four).
 pub fn apply_matches(
     f: &Function,
     dfgs: &[Dfg],
@@ -246,10 +246,10 @@ fn rebuild_block(
             insts.push(block.insts[s].clone());
         } else {
             let m = matches[s - n];
-            let (inst, sem, sem_id) = build_custom(m, dfg, mdes, registry, next_sem);
+            let (inst, sem, sem_id) = build_custom(m, dfg, registry, next_sem);
             out.semantics.insert(sem_id, sem.clone());
             out.sem_latency
-                .insert(sem_id, mdes.cfu(m.cfu).expect("cfu in mdes").latency);
+                .insert(sem_id, mdes.cfus[usize::from(m.cfu)].latency);
             out.applied.push(AppliedMatch {
                 cfu: m.cfu,
                 sem_id,
@@ -273,7 +273,6 @@ fn rebuild_block(
 fn build_custom(
     m: &PatternMatch,
     dfg: &Dfg,
-    mdes: &Mdes,
     registry: &mut Vec<(u16, CfuSemantics, u16)>,
     next_sem: &mut u16,
 ) -> (Inst, CfuSemantics, u16) {
@@ -355,7 +354,6 @@ fn build_custom(
             registry.push((m.cfu, sem.clone(), id));
             id
         });
-    let _ = mdes;
     (Inst::new(Opcode::Custom(sem_id), dsts, srcs), sem, sem_id)
 }
 
@@ -383,14 +381,12 @@ mod tests {
         pattern.add_edge(a, b, 0);
         Mdes {
             cfus: vec![CfuSpec {
-                id: 0,
                 name: "add-and".into(),
                 pattern,
                 latency: 1,
                 area: 1.12,
                 inputs: 3,
                 outputs: 1,
-                priority: 0,
                 estimated_value: 0,
                 subsumed_patterns: vec![],
             }],
@@ -404,7 +400,7 @@ mod tests {
         let dfgs = function_dfgs(f);
         let hw = HwLibrary::micron_018();
         let matches = find_matches(&dfgs, mdes, &hw, &MatchOptions::exact());
-        let accepted = prioritize(matches, mdes, &dfgs);
+        let accepted = prioritize(matches, &dfgs);
         apply_matches(f, &dfgs, &accepted, mdes, 0)
     }
 

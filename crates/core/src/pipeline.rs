@@ -26,7 +26,7 @@
 
 use crate::RunConfig;
 use isax_compiler::{
-    baseline_cycles, compile_guarded, CompileOptions, CompiledProgram, MatchOptions, Mdes,
+    baseline_cycles, compile_guarded, speedup, CompileOptions, CompiledProgram, MatchOptions, Mdes,
     VliwModel,
 };
 use isax_explore::{explore_app_guarded, Candidate, ExploreConfig, ExploreStats};
@@ -527,11 +527,7 @@ impl Customizer {
         Evaluation {
             baseline_cycles: base,
             custom_cycles: compiled.cycles,
-            speedup: if compiled.cycles == 0 {
-                1.0
-            } else {
-                base as f64 / compiled.cycles as f64
-            },
+            speedup: speedup(base, compiled.cycles),
             compiled,
         }
     }

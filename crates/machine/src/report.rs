@@ -43,11 +43,7 @@ impl SpeedupReport {
             budget,
             baseline_cycles,
             custom_cycles,
-            speedup: if custom_cycles == 0 {
-                1.0
-            } else {
-                baseline_cycles as f64 / custom_cycles as f64
-            },
+            speedup: isax_compiler::speedup(baseline_cycles, custom_cycles),
         }
     }
 

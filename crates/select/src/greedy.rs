@@ -45,14 +45,14 @@ impl SelectConfig {
     }
 }
 
-/// One selected CFU, in selection (priority) order.
+/// One selected CFU. Its index in [`Selection::chosen`] is its
+/// selection rank (0 = chosen first), which is also its MDES number and
+/// replacement priority: "custom instruction replacement in the compiler
+/// happens in the same order that CFUs are selected."
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectedCfu {
     /// Index into the candidate list passed to selection.
     pub candidate: usize,
-    /// Selection rank (0 = chosen first). "Custom instruction replacement
-    /// in the compiler happens in the same order that CFUs are selected."
-    pub priority: usize,
     /// Interaction-aware value at the moment of selection (cycles saved).
     pub estimated_value: u64,
     /// Area actually charged against the budget (discounted for subsumed
@@ -261,7 +261,6 @@ pub(crate) fn greedy_scan(
             out.total_value += value;
             out.chosen.push(SelectedCfu {
                 candidate: m,
-                priority: out.chosen.len(),
                 estimated_value: value,
                 charged_area: share,
             });

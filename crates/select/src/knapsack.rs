@@ -99,7 +99,6 @@ pub fn select_knapsack(cands: &[CfuCandidate], cfg: &SelectConfig) -> Selection 
         out.total_value += value;
         out.chosen.push(SelectedCfu {
             candidate: i,
-            priority: out.chosen.len(),
             estimated_value: value,
             charged_area: area,
         });

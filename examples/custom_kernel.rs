@@ -82,8 +82,8 @@ fn main() {
     let cz = Customizer::new();
     let (mdes, _) = cz.customize("fnv1a", &program, 12.0);
     println!("CFUs designed for the FNV-1a kernel:");
-    for cfu in &mdes.cfus {
-        println!("  cfu{:<2} {:<34} {:.2} adders", cfu.id, cfu.name, cfu.area);
+    for (i, cfu) in mdes.cfus.iter().enumerate() {
+        println!("  cfu{i:<2} {:<34} {:.2} adders", cfu.name, cfu.area);
     }
     let ev = cz.evaluate(&program, &mdes, MatchOptions::exact());
     println!(

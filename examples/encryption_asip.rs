@@ -24,10 +24,10 @@ fn main() {
     );
     let analysis = cz.analyze(&source.program);
     let (mdes, _) = cz.select(source.name, &analysis, budget);
-    for cfu in &mdes.cfus {
+    for (i, cfu) in mdes.cfus.iter().enumerate() {
         println!(
             "  cfu{:<2} {:<28} {:2} ops  {:5.2} adders  {} subsumed shapes",
-            cfu.id,
+            i,
             cfu.name,
             cfu.pattern.node_count(),
             cfu.area,

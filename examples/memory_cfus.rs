@@ -31,7 +31,7 @@ fn main() {
     );
     let m2 = Mdes::from_selection(w.name, &analysis.cfus, &sel, &relaxed.hw, 64);
     let e2 = relaxed.evaluate(&w.program, &m2, MatchOptions::exact());
-    for c in &m2.cfus {
+    for (i, c) in m2.cfus.iter().enumerate() {
         let loads = c
             .pattern
             .node_ids()
@@ -40,7 +40,7 @@ fn main() {
         if loads > 0 {
             println!(
                 "  cfu{:<2} {:<30} {} ops incl. {} S-box load(s), {} cycle(s)",
-                c.id,
+                i,
                 c.name,
                 c.pattern.node_count(),
                 loads,

@@ -38,10 +38,10 @@ fn main() {
     );
     let (mdes, selection) = cz.select("toy", &analysis, 10.0);
     println!("\nselected CFUs (priority order):");
-    for cfu in &mdes.cfus {
+    for (i, cfu) in mdes.cfus.iter().enumerate() {
         println!(
             "  cfu{:<2} {:<24} {} ops, {:.2} adders, {} cycle(s), est. value {}",
-            cfu.id,
+            i,
             cfu.name,
             cfu.pattern.node_count(),
             cfu.area,

@@ -117,9 +117,9 @@ fn explain_refuses_a_malformed_report_naming_the_field() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every numeric flag of every command, with a value its rule refuses.
 /// An MDES whose CFU ids are not their positions is refused naming the
-/// field, even when provenance (which indexes CFUs by id) is recorded.
+/// field, even when provenance (which numbers CFUs by position) is
+/// recorded.
 #[test]
 fn compile_refuses_an_mdes_whose_cfu_ids_are_not_positions() {
     let dir = std::env::temp_dir().join(format!("isax-cli-ids-{}", std::process::id()));
@@ -127,13 +127,10 @@ fn compile_refuses_an_mdes_whose_cfu_ids_are_not_positions() {
     let path = |f: &str| dir.join(f).to_string_lossy().into_owned();
     let kernel = format!("{}/kernels/crc.isax", env!("CARGO_MANIFEST_DIR"));
     isax(&["customize", &kernel, "--out", &path("m.json")]).unwrap();
-    let mut mdes =
-        isax::Mdes::from_json(&std::fs::read_to_string(path("m.json")).unwrap()).unwrap();
-    assert!(!mdes.cfus.is_empty());
-    for cfu in &mut mdes.cfus {
-        cfu.id += 7;
-    }
-    std::fs::write(path("m7.json"), mdes.to_json().unwrap()).unwrap();
+    let good = std::fs::read_to_string(path("m.json")).unwrap();
+    let shifted = good.replacen("\"id\": 0,", "\"id\": 7,", 1);
+    assert_ne!(shifted, good, "the MDES names its first CFU 0");
+    std::fs::write(path("m7.json"), shifted).unwrap();
     let err = isax(&[
         "compile",
         &kernel,
@@ -147,6 +144,7 @@ fn compile_refuses_an_mdes_whose_cfu_ids_are_not_positions() {
     assert!(err.contains("bad `cfus[0].id` field"), "{err}");
 }
 
+/// Every numeric flag of every command, with a value its rule refuses.
 #[test]
 fn every_numeric_flag_refuses_a_bad_value() {
     let commands: [(&[&str], &str); 12] = [

@@ -125,6 +125,32 @@ fn report_is_byte_identical_at_any_thread_count() {
     );
 }
 
+/// A CFU is its position, so an MDES edited in code stays numbered:
+/// with crc's first CFU removed, an `evaluate` under provenance names
+/// the remaining CFUs by their new positions and leaves a compile
+/// report that the provenance checker accepts against that MDES.
+#[test]
+fn evaluate_under_provenance_renumbers_an_mdes_edited_in_code() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let _on = isax_prov::enable();
+    let cz = Customizer::new();
+    let w = isax_workloads::by_name("crc").unwrap();
+    let (mut mdes, _) = cz.customize("crc", &w.program, 15.0);
+    assert!(mdes.cfus.len() > 1, "crc selects several CFUs");
+    mdes.cfus.remove(0);
+    let ev = cz.evaluate(&w.program, &mdes, MatchOptions::with_subsumed());
+    assert!(
+        ev.compiled
+            .applied
+            .iter()
+            .any(|a| usize::from(a.cfu) == mdes.cfus.len() - 1),
+        "the last remaining CFU still replaces"
+    );
+    let doc = isax::build_report("crc", &ev.compiled.report.prov);
+    let report = isax::check_provenance(&doc, Some(&mdes), Some(&ev.compiled));
+    assert!(report.is_clean(), "{report}");
+}
+
 /// Groups a merged log by fingerprint, preserving event order.
 fn by_candidate(log: &ProvLog) -> BTreeMap<u64, Vec<&ProvEvent>> {
     let mut m: BTreeMap<u64, Vec<&ProvEvent>> = BTreeMap::new();

@@ -9,7 +9,7 @@
 //! the pool's total area, too large to build for the biggest pools
 //! unbounded). One line per (kernel,
 //! budget) records, per selector, a hash of the MDES JSON, every chosen
-//! `(candidate, priority, estimated_value, charged_area bits)` and the
+//! `(candidate, position, estimated_value, charged_area bits)` and the
 //! selection totals. The lines must equal `tests/golden/select_variants.txt`
 //! at one thread and at four.
 //!
@@ -38,11 +38,11 @@ const DP_BUDGET_CAP: f64 = 400.0;
 
 fn digest(mdes: &Mdes, sel: &Selection) -> u64 {
     let mut text = mdes.to_json().expect("mdes serializes");
-    for c in &sel.chosen {
+    for (i, c) in sel.chosen.iter().enumerate() {
         text.push_str(&format!(
             "\n{} {} {} {:016x}",
             c.candidate,
-            c.priority,
+            i,
             c.estimated_value,
             c.charged_area.to_bits()
         ));
